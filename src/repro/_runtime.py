@@ -27,7 +27,7 @@ from repro.cluster.lockservice import LockService
 from repro.cluster.network import MessageBus, NetworkConfig
 from repro.cluster.topology import ClusterTopology
 from repro.core import messages as msg
-from repro.core.agent import FuxiAgent, FuxiAgentConfig
+from repro.core.agent import FuxiAgent, FuxiAgentConfig, HeartbeatPacer
 from repro.core.appmaster import AppMasterConfig, ApplicationMaster
 from repro.core.checkpoint import CheckpointStore
 from repro.core.master import FuxiMaster, FuxiMasterConfig
@@ -130,11 +130,12 @@ class FuxiCluster:
     def _build_agents(self) -> None:
         """One FuxiAgent per machine.  The sharded engine overrides this:
         the coordinator builds none (agents live in the shard processes)."""
+        pacer = HeartbeatPacer(self.loop)
         for machine in self.topology.machines():
             self.agents[machine] = FuxiAgent(
                 self.loop, self.bus, self.topology.state(machine),
                 self.agent_config, worker_factory=self._create_worker,
-                tracer=self.tracer)
+                tracer=self.tracer, pacer=pacer)
 
     def _make_bus(self, network: Optional[NetworkConfig]) -> MessageBus:
         """Bus factory seam; the sharded coordinator substitutes a
@@ -535,7 +536,9 @@ class FuxiCluster:
     def schedule_faults(self, plan) -> None:
         """Arm a :class:`~repro.cluster.faults.FaultPlan`.  The sharded
         engine overrides this to route machine-scoped faults to the shard
-        that owns the machine."""
+        that owns the machine.  Raises ``ValueError`` before arming
+        anything if the plan names a machine the topology lacks."""
+        plan.check_machines(self.topology)
         self.faults.schedule(plan)
 
 

@@ -166,6 +166,9 @@ class RunResult:
     jobs_completed: int = 0
     #: per-completed-job makespan / critical-path lower bound (sim time)
     slowdowns: List[float] = field(default_factory=list)
+    #: submission attempts refused for want of a primary master (the
+    #: lease gap after a master failure); each is retried next slice
+    refused: int = 0
 
     @property
     def metrics(self):
@@ -240,6 +243,10 @@ class RunResult:
                  "grants": master.grants_disseminated}
                 for master in self.cluster.masters],
         }
+        if self.refused:
+            # only runs that hit a lease gap carry the key, so every other
+            # summary stays byte-identical
+            summary["submissions_refused"] = self.refused
         primary = self.cluster.primary_master
         if primary is not None and primary.scheduler is not None:
             st = primary.scheduler.stats
@@ -464,6 +471,12 @@ def simulate(spec: Optional[RunSpec] = None, *,
     loop dumps the recorder ring (context + last events) to
     ``spec.flight_dump`` (default ``fuxi-crash-seed{seed}.flight.jsonl``)
     before re-raising.
+
+    A fault plan that names a machine the topology lacks raises
+    ``ValueError`` before the run starts.  A closed-loop replacement that
+    finds no primary master (the lease gap after a master failure) is
+    refused, counted in :attr:`RunResult.refused`, and retried at the
+    next slice.
     """
     spec = spec or RunSpec()
     overrides = {}
@@ -519,20 +532,28 @@ def simulate(spec: Optional[RunSpec] = None, *,
         cluster.rng)
     result = RunResult(cluster=cluster, spec=spec)
     ideals: Dict[str, float] = {}
+    pending = spec.concurrent_jobs
 
-    def submit_one() -> None:
-        job = workload.next_job()
-        # place hinted input files before submit so the job master's
-        # locality lookup sees their block replica map
-        ensure_input_files(cluster.blockstore, job)
-        app_id = cluster.submit_job(
-            job, description_overrides={"am_start_delay":
-                                        spec.am_start_delay})
-        result.submitted.append(app_id)
-        ideals[app_id] = critical_path_length(job)
+    def submit_pending() -> None:
+        # A replacement that lands in the lease gap after a master failure
+        # finds no primary: it stays pending for the next slice.
+        nonlocal pending
+        while pending:
+            if cluster.primary_master is None:
+                result.refused += 1
+                return
+            job = workload.next_job()
+            # place hinted input files before submit so the job master's
+            # locality lookup sees their block replica map
+            ensure_input_files(cluster.blockstore, job)
+            app_id = cluster.submit_job(
+                job, description_overrides={"am_start_delay":
+                                            spec.am_start_delay})
+            result.submitted.append(app_id)
+            ideals[app_id] = critical_path_length(job)
+            pending -= 1
 
-    for _ in range(spec.concurrent_jobs):
-        submit_one()
+    submit_pending()
 
     # Closed loop: replace each finished job until the window elapses.
     # deferred_gc: no collection pause can land inside a timed scheduling
@@ -554,7 +575,11 @@ def simulate(spec: Optional[RunSpec] = None, *,
                                 round(job_result.makespan / ideal, 6))
                         cluster.reap_job(app_id)
                         if spec.closed_loop:
-                            submit_one()
+                            # replace at once, between reaps: the event
+                            # order of runs without a lease gap is kept
+                            pending += 1
+                            submit_pending()
+                submit_pending()
                 if spec.gc_isolation:
                     collect_young()
                 if on_slice is not None:

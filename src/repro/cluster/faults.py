@@ -322,6 +322,18 @@ class FaultPlan:
     def machines_touched(self) -> List[str]:
         return sorted({e.machine for e in self.events if e.machine})
 
+    def check_machines(self, known) -> None:
+        """Raise ``ValueError`` listing the machines the plan names that
+        ``known`` (any container of machine names) lacks.
+
+        The injector looks a machine up only when its fault fires, so an
+        unchecked typo would surface mid-run as a ``KeyError``.
+        """
+        unknown = [m for m in self.machines_touched() if m not in known]
+        if unknown:
+            raise ValueError(f"fault plan names machines the topology "
+                             f"lacks: {', '.join(unknown)}")
+
 
 class FaultInjector:
     """Schedules and executes fault events against a running cluster."""

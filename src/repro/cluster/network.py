@@ -87,6 +87,7 @@ class MessageBus:
         self._net_seed = (rng or SplitRandom(0)).child_seed("network")
         # (sender, dest) -> [edge_key, epsilon, next_message_index]
         self._edges: Dict[Tuple[str, str], list] = {}
+        self._name_hashes: Dict[str, int] = {}
         self._actors: Dict[str, Actor] = {}
         self._aliases: Dict[str, str] = {}
         self.messages_sent = 0
@@ -121,10 +122,19 @@ class MessageBus:
         state = self._edges.get((sender, dest))
         if state is None:
             key = _mix64(self._net_seed
-                         ^ _mix64(hash_str(sender) ^ _mix64(hash_str(dest))))
+                         ^ _mix64(self._name_hash(sender)
+                                  ^ _mix64(self._name_hash(dest))))
             state = [key, ((key & 0x3FFFFF) + 1) * _EPS_QUANTUM, 0]
             self._edges[(sender, dest)] = state
         return state
+
+    def _name_hash(self, name: str) -> int:
+        """:func:`hash_str` of an address, memoised: every agent opens
+        edges to both masters, so each name is hashed once, not per edge."""
+        value = self._name_hashes.get(name)
+        if value is None:
+            value = self._name_hashes[name] = hash_str(name)
+        return value
 
     def plan_delays(self, sender: str, dest: str) -> Optional[List[float]]:
         """Delivery delays for the next message on this edge.
@@ -161,6 +171,28 @@ class MessageBus:
     # --------------------------------------------------------------- #
 
     def send(self, sender: str, dest: str, message: Any) -> None:
+        config = self.config
+        if config.drop_prob or config.duplicate_prob or config.reorder_prob:
+            self._send_planned(sender, dest, message)
+            return
+        # Default transport, inlined: plan_delays' single delay with the
+        # same per-edge counter slot and the same jitter draw.
+        self.messages_sent += 1
+        state = self._edges.get((sender, dest))
+        if state is None:
+            state = self._edge(sender, dest)
+        index = state[2]
+        state[2] = index + 1
+        delay = config.latency + state[1]
+        if config.jitter:
+            delay += ((_mix64(state[0] ^ (index << 3) ^ 2) >> 11) * _TO_UNIT
+                      * config.jitter)
+        loop = self.loop
+        loop.post(loop.now + delay, self._deliver, sender, dest, message)
+
+    def _send_planned(self, sender: str, dest: str, message: Any) -> None:
+        """The general send: drops, duplicates and reordering via
+        :meth:`plan_delays`, each delivery through :meth:`_route`."""
         self.messages_sent += 1
         delays = self.plan_delays(sender, dest)
         if delays is None:
@@ -173,13 +205,11 @@ class MessageBus:
 
     def _route(self, sender: str, dest: str, message: Any,
                delay: float) -> None:
-        # recycle: delivery events are fire-and-forget — nothing retains
-        # the handle, so the loop can reuse the Event object.
-        self.loop.call_after(delay, self._deliver, sender, dest, message,
-                             recycle=True)
+        loop = self.loop
+        loop.post(loop.now + delay, self._deliver, sender, dest, message)
 
     def _deliver(self, sender: str, dest: str, message: Any) -> None:
-        actor = self._actors.get(self.resolve(dest))
+        actor = self._actors.get(self._aliases.get(dest, dest))
         if actor is None or not actor.alive:
             self.messages_dropped += 1
             return

@@ -2,7 +2,8 @@
 
 Responsibilities reproduced here:
 
-- periodic heartbeat to FuxiMaster with capacity and a raw health sample;
+- periodic heartbeat to FuxiMaster with capacity and a raw health sample
+  (paced in cohorts by :class:`HeartbeatPacer`);
 - launching application workers from work plans, **only when the machine's
   allocation books show sufficient granted resource** (resource capacity
   ensurance);
@@ -22,7 +23,7 @@ granted, and over-capacity workers are killed worst-offender-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.machine import MachineState
 from repro.core import messages as msg
@@ -55,16 +56,70 @@ def agent_name(machine: str) -> str:
     return f"agent:{machine}"
 
 
+class HeartbeatPacer:
+    """Fires every agent heartbeat due at one instant from one loop event.
+
+    Agents register when they start or restart; each beat re-registers the
+    agent one heartbeat interval later.  The agents due at the same
+    instant form a cohort, fired in registration order by a single
+    phantom event.  Each beat runs through :meth:`EventLoop.execute`, so
+    it counts as one executed event and the loop hooks see it, exactly as
+    when every agent owned a periodic timer.
+
+    Batching cannot move a delivery: a beat's only synchronous effect is
+    one send, and a send's delay is a pure function of (seed, edge,
+    per-edge counter).  An agent that crashes drops out at its next due
+    beat (its incarnation changed); a restart registers it afresh at its
+    new phase.
+    """
+
+    def __init__(self, loop: EventLoop):
+        self.loop = loop
+        #: beat time -> [(agent, incarnation, interval)] in registration order
+        self._cohorts: Dict[float, List[Tuple["FuxiAgent", int, float]]] = {}
+
+    def register(self, agent: "FuxiAgent", interval: float) -> None:
+        """Beat ``agent`` every ``interval`` from now on, while it lives."""
+        self._cohort(self.loop.now + interval).append(
+            (agent, agent._incarnation, interval))
+
+    def _cohort(self, when: float) -> list:
+        """The cohort due at ``when``, scheduling its event if it is new."""
+        cohort = self._cohorts.get(when)
+        if cohort is None:
+            cohort = self._cohorts[when] = []
+            self.loop.call_at(when, self._fire, when, phantom=True)
+        return cohort
+
+    def _fire(self, when: float) -> None:
+        execute = self.loop.execute
+        # members nearly always share one interval, hence one next cohort
+        next_when = next_cohort = None
+        for entry in self._cohorts.pop(when):
+            agent, incarnation, interval = entry
+            if agent.alive and agent._incarnation == incarnation:
+                execute(agent._send_heartbeat)
+                at = when + interval
+                if at != next_when:
+                    next_when, next_cohort = at, self._cohort(at)
+                next_cohort.append(entry)
+
+
 class FuxiAgent(Actor):
-    """The node daemon."""
+    """The node daemon.
+
+    ``pacer`` batches this agent's heartbeats with those of other agents
+    sharing it; an agent built without one gets a private pacer.
+    """
 
     def __init__(self, loop: EventLoop, bus, machine_state: MachineState,
                  config: Optional[FuxiAgentConfig] = None,
                  worker_factory: Optional[Callable[[msg.WorkPlan, str], "object"]] = None,
-                 tracer=None):
+                 tracer=None, pacer: Optional[HeartbeatPacer] = None):
         super().__init__(loop, agent_name(machine_state.spec.name), bus)
         self.machine_state = machine_state
         self.config = config or FuxiAgentConfig()
+        self.pacer = pacer if pacer is not None else HeartbeatPacer(loop)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Agents normally have no outgoing streams; the retransmit timer is
         # armed lazily the first time one appears instead of ticking idly
@@ -101,8 +156,7 @@ class FuxiAgent(Actor):
         return self.machine_state.spec.capacity
 
     def _start_timers(self) -> None:
-        self.set_periodic_timer("heartbeat", self.config.heartbeat_interval,
-                                self._send_heartbeat)
+        self.pacer.register(self, self.config.heartbeat_interval)
         if self.hub.has_senders():
             self._arm_retransmit()
         self.loop.call_after(0.0, self._send_heartbeat)
@@ -114,14 +168,14 @@ class FuxiAgent(Actor):
     def _send_heartbeat(self) -> None:
         if not self.alive:
             return
+        state = self.machine_state
+        spec = state.spec
         # Fresh object per beat: heartbeats must be value snapshots so the
         # sharded engine can pickle them across the process boundary.
+        # Capacity "can be changed at any time" (§3.2.1).
         self.send(self.config.master_address, msg.AgentHeartbeat(
-            machine=self.machine, rack=self.rack,
-            capacity=self.capacity,  # "can be changed at any time" (§3.2.1)
-            health_sample=self.machine_state.health_sample(),
-            book_version=self._book_version,
-            book_digest=self._book_digest))
+            spec.name, spec.rack, spec.capacity, state.health_sample(),
+            self._book_version, self._book_digest))
 
     # ------------------------------------------------------------------ #
     # message handling

@@ -2,7 +2,7 @@
 
 ``repro.shard`` partitions a :class:`~repro._runtime.FuxiCluster` by
 *machine*: each shard domain owns a contiguous slice of the sorted machine
-list — the agents, worker processes, timer wheels and health state of those
+list — the agents, worker processes, timers and health state of those
 machines — and advances them on its own event loop, optionally in a
 separate OS process.  The master pair, scheduler, application masters and
 block store stay in the coordinator.

@@ -29,6 +29,9 @@ Envelope = Tuple[float, str, str, Any, int]
 class DomainBus(MessageBus):
     """MessageBus that exports non-local deliveries as boundary envelopes."""
 
+    #: every send is routed, so remote deliveries can leave as envelopes
+    send = MessageBus._send_planned
+
     def __init__(self, loop, rng, config,
                  is_local: Callable[[str], bool]):
         super().__init__(loop, rng, config)
@@ -61,8 +64,7 @@ class DomainBus(MessageBus):
         created at send time: one injected envelope == one executed event,
         which keeps ``events_executed`` parity between the two engines.
         """
-        self.loop.call_at(arrival, self._deliver, sender, dest, payload,
-                          recycle=True)
+        self.loop.post(arrival, self._deliver, sender, dest, payload)
 
     def inject_probe(self, arrival: float, sender: str, dest: str,
                      payload: Any) -> None:
@@ -75,7 +77,7 @@ class DomainBus(MessageBus):
         disturb the count parity the real injection path maintains.
         """
         self.loop.call_at(arrival, self._probe, sender, dest, payload,
-                          recycle=True, phantom=True)
+                          phantom=True)
 
     def _probe(self, sender: str, dest: str, payload: Any) -> None:
         actor = self._actors.get(self.resolve(dest))

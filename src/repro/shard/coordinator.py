@@ -287,6 +287,7 @@ class ShardedCluster(FuxiCluster):
         and the real NetworkBurst events stay here.  Shards additionally
         mirror burst windows onto their own transport as phantom flips."""
         self._check_not_started("fault plans")
+        plan.check_machines(self.topology)
         coordinator_events = [event for event in plan.events
                               if event.kind not in MACHINE_KINDS]
         if coordinator_events:

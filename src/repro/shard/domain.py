@@ -1,7 +1,7 @@
 """One shard domain: a contiguous machine slice on its own event loop.
 
 A :class:`ShardDomain` owns everything machine-local for its slice of the
-sorted machine list — FuxiAgents, their timer wheels and heartbeats, the
+sorted machine list — FuxiAgents, their timers and heartbeat pacer, the
 TaskWorker processes launched on those machines, the mutable
 :class:`~repro.cluster.machine.MachineState` flags, and the machine-scoped
 half of the fault plan.  Everything cluster-global (masters, scheduler,
@@ -33,7 +33,7 @@ from repro.cluster.faults import (FaultEvent, FaultInjector, MACHINE_KINDS,
 from repro.cluster.network import NetworkConfig
 from repro.cluster.topology import ClusterTopology
 from repro.core import messages as msg
-from repro.core.agent import FuxiAgent, FuxiAgentConfig
+from repro.core.agent import FuxiAgent, FuxiAgentConfig, HeartbeatPacer
 from repro.jobs.worker import TaskWorker
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.shard.bus import DomainBus
@@ -76,12 +76,13 @@ class ShardDomain:
         self.bus = DomainBus(self.loop, SplitRandom(spec.seed),
                              replace(spec.network), self._is_local)
         self.agents: Dict[str, FuxiAgent] = {}
+        pacer = HeartbeatPacer(self.loop)
         for machine in self.topology.machines():
             if machine in self._owned:
                 self.agents[machine] = FuxiAgent(
                     self.loop, self.bus, self.topology.state(machine),
                     spec.agent_config, worker_factory=self._create_worker,
-                    tracer=self.tracer)
+                    tracer=self.tracer, pacer=pacer)
         self.faults = FaultInjector(self)
         self._burst_depth = 0
         self._burst_baseline = (0.0, 0.0)

@@ -6,6 +6,13 @@ through a message bus (see :mod:`repro.cluster.network`), which models
 latency and — when asked to — duplication and reordering.  An actor that has
 crashed silently drops incoming messages; that is exactly how the real
 failures the paper handles look to peers.
+
+Every delivery reaches the actor through :meth:`Actor.deliver`, which
+drops it when the actor is dead.  Timers are cancellable events on the
+loop's heap; a periodic timer re-arms itself with one reusable
+:class:`_PeriodicChain` callback.  FuxiAgent heartbeats do not use
+periodic timers: a shared pacer batches them (see
+:class:`repro.core.agent.HeartbeatPacer`).
 """
 
 from __future__ import annotations
@@ -46,8 +53,7 @@ class _PeriodicChain:
         # ``key not in timers``: the callback may have re-registered the
         # timer (new chain, possibly new interval) — that chain wins.
         if interval is not None and owner.alive and key not in timers:
-            timers[key] = owner.loop.call_after(interval, self,
-                                                wheel=True, recycle=True)
+            timers[key] = owner.loop.call_after(interval, self)
 
 
 class Actor:
@@ -118,20 +124,15 @@ class Actor:
         The handler (or anyone else) can stop the cycle with
         :meth:`cancel_timer`; crashing the actor stops it too.
 
-        Periodic timers ride the event loop's timer-wheel/freelist tier:
-        one :class:`_PeriodicChain` is created here and reused for every
-        period, and the Event handle is recycled after each firing.  That
-        is safe because the chain drops its own handle from ``_timers``
-        before the loop recycles it, so cancellation never touches a
-        reused Event.
+        One :class:`_PeriodicChain` is created here and reused for every
+        period; each period is one cancellable event on the loop's heap.
         """
         self._periodic[key] = interval
         previous = self._timers.pop(key, None)
         if previous is not None:
             previous.cancel()
         self._timers[key] = self.loop.call_after(
-            interval, _PeriodicChain(self, key, callback),
-            wheel=True, recycle=True)
+            interval, _PeriodicChain(self, key, callback))
 
     def cancel_timer(self, key: str) -> None:
         self._periodic.pop(key, None)

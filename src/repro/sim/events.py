@@ -1,34 +1,25 @@
 """Heap-based discrete-event loop with a simulated clock.
 
 The loop is the single source of time for the whole simulation.  Events are
-callbacks scheduled at absolute simulated times; ties are broken by a
-monotonically increasing sequence number so execution order is deterministic
-for equal timestamps.
+callbacks scheduled at absolute simulated times in one binary heap; ties
+are broken by a monotonically increasing sequence number, so execution
+order is deterministic for equal timestamps.
 
-Bookkeeping is O(1) per operation: a live-event counter backs
-:meth:`EventLoop.pending` (no heap scans), and the heap is compacted when
-cancelled entries outnumber live ones, so long-running simulations with
-heavy timer churn stay bounded in memory.  Heap entries are plain
-``(time, seq, event)`` tuples: the ``seq`` tie-break is unique, so heap
-ordering is decided entirely by C-level tuple comparison and the
-:class:`Event` object itself is never compared on the hot path.
+Two kinds of heap entry share that ``(time, seq)`` order:
 
-Two fast paths keep the periodic-timer tier (heartbeats, housekeeping,
-health probes — thousands of recurring timers at cluster scale) from
-churning the main heap:
+- ``(time, seq, event)`` from :meth:`EventLoop.call_at` /
+  :meth:`EventLoop.call_after`: the :class:`Event` is a handle the caller
+  can cancel (timers);
+- ``(time, seq, callback, args)`` from :meth:`EventLoop.post`: a
+  fire-and-forget callback with no handle and no per-event object
+  (message deliveries).
 
-- a **timer wheel** (``call_at(..., wheel=True)``): events land in coarse
-  time slots keyed by ``int(time / tick)``; a slot is drained — filtered of
-  cancellations and sorted once — only when the clock approaches it.  The
-  merge against the main heap preserves the exact global ``(time, seq)``
-  order, so a wheel-scheduled run is event-for-event identical to a
-  heap-scheduled one; the wheel only changes *how* the order is computed.
-- an **Event freelist** (``call_at(..., recycle=True)``): the loop reuses
-  the Event object after the callback fires.  Callers opting in MUST NOT
-  retain the returned handle past the firing (a recycled handle may already
-  belong to a different scheduled event); it is safe for fire-and-forget
-  deliveries and self-re-arming periodic timers that replace their handle
-  inside the callback.
+The ``seq`` tie-break is unique, so heap ordering is decided entirely by
+C-level tuple comparison and the third element is never compared.
+Bookkeeping is O(1) per operation: :meth:`EventLoop.pending` is the heap
+size minus the cancelled entries still in it, and the heap is compacted
+when cancelled entries outnumber live ones, so long-running simulations
+with heavy timer churn stay bounded in memory.
 
 For observability the loop supports per-event hooks (see
 :meth:`EventLoop.add_hook` and the legacy single-hook
@@ -37,8 +28,6 @@ timed with the wall clock and reported together with the loop state.
 Multiple hooks with independent sampling intervals can coexist — the obs
 layer samples wall time while the chaos harness checks invariants — and
 with no hook installed the execution path pays a single truthiness check.
-Hooks run before the fired event is recycled, so they always observe a
-coherent Event.
 """
 
 from __future__ import annotations
@@ -46,17 +35,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 #: below this heap size compaction is pointless (rebuild cost > scan cost)
 _COMPACT_MIN = 64
-
-#: wheel slot width in simulated seconds; coarse enough that a slot batches
-#: many periodic timers, fine enough that near-term one-shots skip the wheel
-_WHEEL_TICK = 0.25
-
-#: recycled Event objects kept around at most
-_FREELIST_MAX = 4096
 
 
 class SimulationError(RuntimeError):
@@ -79,25 +61,24 @@ class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`EventLoop.call_at` / :meth:`EventLoop.call_after`
-    and can be cancelled.  A cancelled event stays in its tier (heap or wheel
-    slot) but is skipped when popped (and reclaimed wholesale when the loop
-    compacts or drains the slot).
+    and can be cancelled.  A cancelled event stays in the heap but is
+    skipped when popped (and reclaimed wholesale when the loop compacts).
+    Hooks also receive an Event for posted and inline-executed callbacks;
+    those are built on demand, already done, with no loop to cancel against.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "done",
-                 "wheel", "recycle", "phantom", "_loop")
+                 "phantom", "_loop")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any],
                  args: tuple, loop: Optional["EventLoop"] = None,
-                 recycle: bool = False, phantom: bool = False):
+                 phantom: bool = False):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.done = False
-        self.wheel = False
-        self.recycle = recycle
+        self.done = loop is None
         self.phantom = phantom
         self._loop = loop
 
@@ -107,13 +88,7 @@ class Event:
         if self.cancelled or self.done:
             return
         self.cancelled = True
-        if self._loop is not None:
-            self._loop._on_cancel(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for external sorting convenience; the loop's heap orders
-        # plain (time, seq, event) tuples and never calls this.
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._loop._on_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("done" if self.done
@@ -136,27 +111,15 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        # heap of (time, seq, event): unique seq => pure tuple comparison
+        # (time, seq, event) and (time, seq, callback, args) entries
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
         self.events_executed = 0
-        # live/cancelled counters: pending() must be O(1) and compaction
-        # needs to know when the heap is mostly garbage.  Wheel-tier
-        # cancellations are counted separately — they are reclaimed on slot
-        # drain and must not trigger (or skew) heap compaction.
-        self._live = 0
+        # cancelled entries still in the heap: pending() is O(1) and
+        # compaction knows when the heap is mostly garbage
         self._cancelled = 0
-        self._wheel_cancelled = 0
-        # timer wheel: slot id -> [(time, seq, event)], plus a min-heap of
-        # populated slot ids and the sorted ready run of the drained slots.
-        self._wheel: Dict[int, List[tuple]] = {}
-        self._wheel_slots: List[int] = []
-        self._wheel_drained = -1
-        self._ready: List[tuple] = []
-        self._ready_pos = 0
-        self._free: List[Event] = []
         # optional instrumentation (see add_hook / set_hook)
         self._hooks: List[LoopHook] = []
 
@@ -166,68 +129,45 @@ class EventLoop:
         return self._now
 
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any,
-                wheel: bool = False, recycle: bool = False,
                 phantom: bool = False) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        ``wheel=True`` routes the event through the timer-wheel tier (same
-        execution order, cheaper for far-out recurring timers).  With
-        ``recycle=True`` the returned handle is reused after the callback
-        fires and must not be retained past that point.  A ``phantom``
-        event executes in time/seq order like any other but is *invisible
-        to accounting*: it does not bump :attr:`events_executed` and skips
-        the hooks.  The sharded engine uses phantoms for bookkeeping ticks
-        that the serial oracle runs as part of another event, keeping the
-        per-domain event counts summable to the serial total.
+        A ``phantom`` event executes in time/seq order like any other but
+        is *invisible to accounting*: it does not bump
+        :attr:`events_executed` and skips the hooks.  The sharded engine
+        uses phantoms for bookkeeping ticks that the serial oracle runs as
+        part of another event, and the heartbeat pacer uses one per cohort
+        while counting each beat itself (see :meth:`execute`).
         """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at {when} before current time {self._now}"
             )
         seq = next(self._seq)
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = when
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.done = False
-            event.recycle = recycle
-            event.phantom = phantom
-            event._loop = self
-        else:
-            event = Event(when, seq, callback, args, loop=self,
-                          recycle=recycle, phantom=phantom)
-        entry = (when, seq, event)
-        if wheel:
-            slot = int(when * (1.0 / _WHEEL_TICK))
-            if when < slot * _WHEEL_TICK:
-                slot -= 1  # float rounding pushed us across a boundary
-            if slot > self._wheel_drained:
-                event.wheel = True
-                bucket = self._wheel.get(slot)
-                if bucket is None:
-                    self._wheel[slot] = [entry]
-                    heapq.heappush(self._wheel_slots, slot)
-                else:
-                    bucket.append(entry)
-                self._live += 1
-                return event
-        event.wheel = False
-        heapq.heappush(self._heap, entry)
-        self._live += 1
+        event = Event(when, seq, callback, args, self, phantom)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any,
-                   wheel: bool = False, recycle: bool = False,
                    phantom: bool = False) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, callback, *args,
-                            wheel=wheel, recycle=recycle, phantom=phantom)
+                            phantom=phantom)
+
+    def post(self, when: float, callback: Callable[..., Any],
+             *args: Any) -> None:
+        """Schedule a fire-and-forget ``callback(*args)`` at time ``when``.
+
+        Same ordering and accounting as :meth:`call_at`, but no handle: the
+        heap holds the bare callback, so nothing can cancel it.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {when} before current time {self._now}"
+            )
+        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     def stop(self) -> None:
         """Make the currently running :meth:`run` loop return after this event."""
@@ -237,79 +177,16 @@ class EventLoop:
     # cancellation bookkeeping
     # ------------------------------------------------------------------ #
 
-    def _on_cancel(self, event: Event) -> None:
+    def _on_cancel(self) -> None:
         """Called by :meth:`Event.cancel`; compacts the heap when mostly garbage."""
-        self._live -= 1
-        if event.wheel:
-            # Reclaimed when the slot drains; slot lifetime is bounded by
-            # the timer interval, so no compaction pass is needed.
-            self._wheel_cancelled += 1
-            return
         self._cancelled += 1
-        if (self._cancelled * 2 > len(self._heap)
-                and len(self._heap) >= _COMPACT_MIN):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (amortised O(1) per cancel)."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    # ------------------------------------------------------------------ #
-    # timer wheel
-    # ------------------------------------------------------------------ #
-
-    def _drain_slot(self) -> None:
-        """Move the earliest wheel slot into the sorted ready run."""
-        slot = heapq.heappop(self._wheel_slots)
-        entries = self._wheel.pop(slot)
-        live = [entry for entry in entries if not entry[2].cancelled]
-        self._wheel_cancelled -= len(entries) - len(live)
-        live.sort()
-        remaining = self._ready[self._ready_pos:] if self._ready else []
-        if remaining:
-            if live and remaining[-1] > live[0]:
-                # Float rounding let an entry land one slot early; a merge
-                # keeps the ready run globally sorted.
-                remaining.extend(live)
-                remaining.sort()
-                live = remaining
-            else:
-                remaining.extend(live)
-                live = remaining
-        self._ready = live
-        self._ready_pos = 0
-        self._wheel_drained = slot
-
-    def _peek(self) -> Optional[tuple]:
-        """Next runnable (time, seq, event) across heap, ready run and wheel.
-
-        Skips cancelled heads and drains every wheel slot that could hold an
-        earlier event than the current candidate, so the returned entry is
-        the true global minimum.  The entry is left in place; :meth:`step`
-        consumes it.
-        """
         heap = self._heap
-        while True:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            ready = self._ready
-            pos = self._ready_pos
-            while pos < len(ready) and ready[pos][2].cancelled:
-                self._wheel_cancelled -= 1
-                pos += 1
-            self._ready_pos = pos
-            candidate = ready[pos] if pos < len(ready) else None
-            if heap and (candidate is None or heap[0] < candidate):
-                candidate = heap[0]
-            slots = self._wheel_slots
-            if slots and (candidate is None
-                          or slots[0] * _WHEEL_TICK <= candidate[0]):
-                self._drain_slot()
-                continue
-            return candidate
+        if self._cancelled * 2 > len(heap) and len(heap) >= _COMPACT_MIN:
+            # in place: a running run_until holds a reference to the list
+            heap[:] = [entry for entry in heap
+                       if len(entry) == 4 or not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._cancelled = 0
 
     # ------------------------------------------------------------------ #
     # instrumentation
@@ -324,14 +201,12 @@ class EventLoop:
         callback returns.  Which events are sampled depends only on the
         deterministic execution count, so a seeded run samples the same
         events every time (the wall-time *values* are of course not
-        reproducible).  Sampling covers every tier — heap, timer-wheel
-        and ready-run events all pass through :meth:`step`, so a hook
-        sees the uniform event stream regardless of how an event was
-        scheduled.  ``timed=False`` skips the ``perf_counter`` pair when
-        only untimed hooks are due (the hook then receives ``0.0`` as
-        the wall time) — the cheap tier for per-event observers like the
-        flight recorder that want the event, not its cost.  Returns a
-        handle for :meth:`remove_hook`.
+        reproducible).  Timers, posted callbacks and callbacks run through
+        :meth:`execute` are all counted and sampled alike.  ``timed=False``
+        skips the ``perf_counter`` pair when only untimed hooks are due
+        (the hook then receives ``0.0`` as the wall time) — the cheap tier
+        for per-event observers like the flight recorder that want the
+        event, not its cost.  Returns a handle for :meth:`remove_hook`.
         """
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
@@ -357,67 +232,78 @@ class EventLoop:
         """Remove all per-event hooks (back to the zero-overhead path)."""
         self._hooks = []
 
+    def _run_hooked(self, callback: Callable[..., Any], args: tuple,
+                    seq: int, event: Optional[Event]) -> None:
+        """Run one counted callback with the hooks due at this count.
+
+        ``event`` is the handle of a timer; for posted and inline callbacks
+        an Event is built only when a hook is due.
+        """
+        count = self.events_executed
+        due = [h for h in self._hooks if count % h.every == 0]
+        if not due:
+            callback(*args)
+            return
+        if any(h.timed for h in due):
+            started = _time.perf_counter()
+            callback(*args)
+            wall = _time.perf_counter() - started
+        else:
+            callback(*args)
+            wall = 0.0
+        if event is None:
+            event = Event(self._now, seq, callback, args)
+        for handle in due:
+            handle.callback(self, event, wall)
+
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
+    def _fire(self, entry: tuple) -> None:
+        """Execute one popped, non-cancelled heap entry."""
+        self._now = entry[0]
+        if len(entry) == 4:
+            callback, args, event = entry[2], entry[3], None
+        else:
+            event = entry[2]
+            event.done = True
+            callback, args = event.callback, event.args
+            if event.phantom:
+                callback(*args)
+                return
+        self.events_executed += 1
+        if self._hooks:
+            self._run_hooked(callback, args, entry[1], event)
+        else:
+            callback(*args)
+
+    def execute(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` now, counted as one executed event.
+
+        For batching: a callback that performs several logically separate
+        events in one go (the heartbeat pacer's cohort) runs each through
+        here, so :attr:`events_executed` and the hooks see one event per
+        item exactly as if each had been popped from the heap (the hooks'
+        Event carries ``seq=-1``: it never sat in the heap).
+        """
+        self.events_executed += 1
+        if self._hooks:
+            self._run_hooked(callback, args, -1, None)
+        else:
+            callback(*args)
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if nothing is pending."""
-        entry = self._peek()
-        if entry is None:
-            return False
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready) and ready[pos] is entry:
-            pos += 1
-            if pos >= len(ready):
-                self._ready = []
-                self._ready_pos = 0
-            else:
-                self._ready_pos = pos
-        else:
-            heapq.heappop(self._heap)
-        event = entry[2]
-        event.done = True
-        self._live -= 1
-        self._now = event.time
-        if event.phantom:
-            # Bookkeeping tick: executes in order but is invisible to the
-            # event count and the hooks (see call_at docstring).
-            event.callback(*event.args)
-            if event.recycle and len(self._free) < _FREELIST_MAX:
-                event.callback = None
-                event.args = ()
-                event._loop = None
-                self._free.append(event)
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if len(entry) == 3 and entry[2].cancelled:
+                self._cancelled -= 1
+                continue
+            self._fire(entry)
             return True
-        self.events_executed += 1
-        hooks = self._hooks
-        if hooks:
-            count = self.events_executed
-            due = [h for h in hooks if count % h.every == 0]
-            if due:
-                if any(h.timed for h in due):
-                    started = _time.perf_counter()
-                    event.callback(*event.args)
-                    wall = _time.perf_counter() - started
-                else:
-                    event.callback(*event.args)
-                    wall = 0.0
-                for handle in due:
-                    handle.callback(self, event, wall)
-            else:
-                event.callback(*event.args)
-        else:
-            event.callback(*event.args)
-        if event.recycle:
-            free = self._free
-            if len(free) < _FREELIST_MAX:
-                event.callback = None
-                event.args = ()
-                event._loop = None
-                free.append(event)
-        return True
+        return False
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, :meth:`stop` is called, or ``max_events`` fire."""
@@ -444,12 +330,22 @@ class EventLoop:
             raise SimulationError("event loop is already running")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        pop = heapq.heappop
         try:
             while not self._stopped:
-                entry = self._peek()
-                if entry is None or entry[0] > until:
+                if not heap or heap[0][0] > until:
                     break
-                self.step()
+                entry = pop(heap)
+                if len(entry) == 4 and not self._hooks:
+                    # posted delivery, the hot path: inline _fire
+                    self._now = entry[0]
+                    self.events_executed += 1
+                    entry[2](*entry[3])
+                elif len(entry) == 3 and entry[2].cancelled:
+                    self._cancelled -= 1
+                else:
+                    self._fire(entry)
         finally:
             self._running = False
         if self._now < until:
@@ -457,7 +353,7 @@ class EventLoop:
 
     def pending(self) -> int:
         """Number of non-cancelled events still scheduled (O(1))."""
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventLoop now={self._now:.3f} pending={self.pending()}>"

@@ -99,6 +99,49 @@ def test_simulate_completes_jobs():
     assert len(result.submitted) >= SMALL.concurrent_jobs
 
 
+def test_simulate_survives_replacements_in_the_master_lease_gap():
+    # Jobs finish while the standby waits out the failed primary's lease;
+    # their replacements find no primary.  They must stay pending and be
+    # submitted once the standby takes over, not crash the run.
+    spec = RunSpec(racks=10, machines_per_rack=50, duration=30,
+                   fault_spec="FuxiMasterFailure@8.5")
+    result = simulate(spec)
+    assert result.refused > 0
+    summary = result.summary_dict()
+    assert summary["submissions_refused"] == result.refused
+    # the closed loop caught up: every finished job was replaced
+    assert len(result.submitted) == spec.concurrent_jobs + \
+        result.jobs_completed
+    assert simulate(spec).summary_dict() == summary
+
+
+def test_summary_has_no_refusal_key_without_a_lease_gap():
+    result = simulate(SMALL)
+    assert result.refused == 0
+    assert "submissions_refused" not in result.summary_dict()
+
+
+def test_simulate_rejects_fault_plan_naming_unknown_machines():
+    spec = RunSpec(racks=2, machines_per_rack=5,
+                   fault_spec="NodeDown@3:r010m005;NodeDown@4:r00m001")
+    spec.validate()  # the names are syntactically fine
+    with pytest.raises(ValueError, match="r010m005") as info:
+        simulate(spec)
+    assert "r00m001" not in str(info.value)
+
+
+def test_schedule_faults_rejects_unknown_machines_before_arming():
+    from repro.cluster.faults import FaultPlan
+
+    cluster = ClusterBuilder(racks=1, machines_per_rack=2).build(
+        warm_up=False)
+    plan = FaultPlan.from_spec("NodeDown@1:r00m000;MachineRestart@2:r09m009")
+    pending = cluster.loop.pending()
+    with pytest.raises(ValueError, match="r09m009"):
+        cluster.schedule_faults(plan)
+    assert cluster.loop.pending() == pending  # nothing was armed
+
+
 # ------------------------- deprecation shims ------------------------ #
 
 def _fresh_import(module_name):

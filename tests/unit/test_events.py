@@ -202,15 +202,14 @@ def test_survivors_fire_in_order_after_compaction():
 
 
 # --------------------------------------------------------------------- #
-# Event.cancel racing the wheel tier
+# the one heap: call_at handles and post()ed bare entries share it
 # --------------------------------------------------------------------- #
 
 
-def test_cancel_wheel_timer_before_slot_drains():
+def test_cancelled_far_timer_never_counts():
     loop = EventLoop()
     seen = []
-    event = loop.call_after(5.0, seen.append, "wheel", wheel=True)
-    assert event.wheel
+    event = loop.call_after(5.0, seen.append, "far")
     event.cancel()
     assert loop.pending() == 0
     loop.run()
@@ -218,10 +217,9 @@ def test_cancel_wheel_timer_before_slot_drains():
     assert loop.events_executed == 0
 
 
-def test_cancel_wheel_timer_after_slot_drained_into_ready_run():
-    # Both events share one wheel slot, so when the first fires the second
-    # already sits in the drained ready run; cancelling it there must still
-    # suppress the callback.
+def test_cancel_from_a_callback_at_the_same_instant():
+    # The first callback cancels a sibling already due at the same clock
+    # reading; the cancel must still suppress it.
     loop = EventLoop()
     seen = []
     handles = {}
@@ -229,54 +227,135 @@ def test_cancel_wheel_timer_after_slot_drained_into_ready_run():
     def first():
         seen.append("first")
         handles["second"].cancel()
-        handles["second"].cancel()  # idempotent on the ready run too
+        handles["second"].cancel()  # idempotent
 
-    loop.call_at(1.0, first, wheel=True)
-    handles["second"] = loop.call_at(1.05, seen.append, "second", wheel=True)
-    loop.call_at(1.1, seen.append, "tail", wheel=True)
+    loop.call_at(1.0, first)
+    handles["second"] = loop.call_at(1.0, seen.append, "second")
+    loop.post(1.0, seen.append, "tail")
     loop.run()
     assert seen == ["first", "tail"]
     assert loop.pending() == 0
 
 
-def test_wheel_and_heap_ties_break_by_seq_across_tiers():
-    # The wheel only changes how the order is computed: simultaneous events
-    # interleave across tiers in scheduling order, exactly like a pure heap.
+def test_post_and_call_at_ties_break_by_seq():
+    # Posted entries carry no handle but take a seq like any other, so
+    # simultaneous events interleave in scheduling order.
     loop = EventLoop()
     seen = []
-    loop.call_at(2.0, seen.append, "a", wheel=True)
+    loop.post(2.0, seen.append, "a")
     loop.call_at(2.0, seen.append, "b")
-    loop.call_at(2.0, seen.append, "c", wheel=True)
+    loop.post(2.0, seen.append, "c")
     loop.call_at(2.0, seen.append, "d")
-    loop.run()
+    loop.run_until(2.0)
     assert seen == ["a", "b", "c", "d"]
+    assert loop.events_executed == 4
+
+
+def test_post_returns_no_handle_and_counts_as_pending():
+    loop = EventLoop()
+    assert loop.post(1.0, lambda: None) is None
+    loop.call_at(2.0, lambda: None).cancel()
+    assert loop.pending() == 1
+    loop.run()
+    assert loop.pending() == 0
+    assert loop.events_executed == 1
+
+
+def test_post_in_the_past_is_rejected():
+    loop = EventLoop()
+    loop.call_after(1.0, lambda: None)
+    loop.run()
+    with pytest.raises(SimulationError):
+        loop.post(0.5, lambda: None)
+
+
+def test_compaction_keeps_posted_entries():
+    # Compaction filters cancelled handles only; bare posted entries have
+    # nothing to cancel and must all survive, in order.
+    loop = EventLoop()
+    seen = []
+    timers = [loop.call_after(float(i + 1), seen.append, f"t{i}")
+              for i in range(_COMPACT_MIN)]
+    for i in range(8):
+        loop.post(i + 0.5, seen.append, f"p{i}")
+    for event in timers[:-1]:
+        event.cancel()
+    assert loop._cancelled < _COMPACT_MIN - 1  # compacted on the way
+    assert loop.pending() == 9
+    loop.run()
+    assert seen == [f"p{i}" for i in range(8)] + [f"t{_COMPACT_MIN - 1}"]
+
+
+def test_cancel_during_run_until_compacts_the_live_heap():
+    # A callback that cancels enough timers to trigger compaction while
+    # run_until is draining the same heap.
+    loop = EventLoop()
+    seen = []
+    timers = [loop.call_at(10.0 + i, seen.append, i)
+              for i in range(_COMPACT_MIN)]
+
+    def purge():
+        for event in timers[1:]:
+            event.cancel()
+
+    loop.call_at(1.0, purge)
+    loop.post(5.0, seen.append, "posted")
+    loop.run_until(100.0)
+    assert seen == ["posted", 0]
+    assert loop.pending() == 0
+
+
+def test_execute_counts_one_event_per_call():
+    loop = EventLoop()
+    seen = []
+
+    def batch():
+        for tag in ("x", "y", "z"):
+            loop.execute(seen.append, tag)
+
+    loop.call_at(1.0, batch, phantom=True)
+    loop.run()
+    assert seen == ["x", "y", "z"]
+    assert loop.events_executed == 3
 
 
 # --------------------------------------------------------------------- #
-# per-event hooks across tiers (PR 6 regression: the live sampler and
-# flight recorder must see wheel-tier events, not just heap-tier ones)
+# per-event hooks see every counted event (the live sampler and flight
+# recorder must not miss posted or inline-executed callbacks)
 # --------------------------------------------------------------------- #
 
-def test_hooks_fire_for_wheel_tier_events():
+def test_hooks_fire_for_posted_events():
     loop = EventLoop()
     hooked = []
-    loop.add_hook(lambda lp, event, wall: hooked.append(event.time))
-    loop.call_at(1.0, lambda: None)               # heap tier
-    loop.call_at(2.0, lambda: None, wheel=True)   # wheel tier
-    loop.call_at(2.05, lambda: None, wheel=True)  # same slot -> ready run
+    loop.add_hook(lambda lp, event, wall: hooked.append(
+        (event.time, event.callback, event.args)))
+    loop.call_at(1.0, print)
+    loop.post(2.0, len, "ab")
+    loop.run_until(3.0)
+    assert hooked == [(1.0, print, ()), (2.0, len, ("ab",))]
+
+
+def test_hooks_see_executed_events_but_not_phantoms():
+    loop = EventLoop()
+    hooked = []
+    loop.add_hook(lambda lp, event, wall: hooked.append(event.args))
+    loop.call_at(1.0, lambda: loop.execute(len, "inline"), phantom=True)
     loop.run()
-    assert hooked == [1.0, 2.0, 2.05]
+    assert hooked == [("inline",)]
 
 
 def test_hook_sampling_counts_across_tiers():
     # sample_every follows the global executed-event counter, so the
-    # sampled subset is identical however events split across tiers.
+    # sampled subset is identical however events were scheduled.
     loop = EventLoop()
     hooked = []
     loop.add_hook(lambda lp, event, wall: hooked.append(event.time),
                   sample_every=2)
     for i in range(6):
-        loop.call_at(float(i + 1), lambda: None, wheel=(i % 2 == 0))
+        if i % 2 == 0:
+            loop.post(float(i + 1), lambda: None)
+        else:
+            loop.call_at(float(i + 1), lambda: None)
     loop.run()
     # events 2, 4, 6 of the interleaved run are sampled
     assert hooked == [2.0, 4.0, 6.0]
@@ -287,7 +366,7 @@ def test_untimed_hook_gets_zero_wall_and_fires_every_event():
     walls = []
     loop.add_hook(lambda lp, event, wall: walls.append(wall), timed=False)
     loop.call_at(1.0, lambda: None)
-    loop.call_at(2.0, lambda: None, wheel=True)
+    loop.post(2.0, lambda: None)
     loop.run()
     assert walls == [0.0, 0.0]
 
@@ -300,7 +379,7 @@ def test_timed_and_untimed_hooks_coexist():
     loop.add_hook(lambda lp, event, wall: seen["timed"].append(wall))
     loop.add_hook(lambda lp, event, wall: seen["untimed"].append(wall),
                   timed=False)
-    loop.call_at(1.0, lambda: None, wheel=True)
+    loop.post(1.0, lambda: None)
     loop.run()
     assert len(seen["timed"]) == 1 and seen["timed"][0] >= 0.0
     # the wall reading already paid for the timed hook is shared with the

@@ -25,11 +25,11 @@ def test_recorder_rejects_bad_capacity():
         FlightRecorder(capacity=0)
 
 
-def test_recorder_sees_wheel_tier_events():
+def test_recorder_sees_posted_events():
     loop = EventLoop()
     recorder = FlightRecorder().attach(loop)
-    loop.call_at(1.0, lambda: None, wheel=True)
-    loop.call_at(1.05, lambda: None, wheel=True)
+    loop.post(1.0, lambda: None)
+    loop.call_at(1.05, lambda: None)
     loop.run()
     assert [e["t"] for e in recorder.entries()] == [1.0, 1.05]
 
@@ -84,7 +84,10 @@ def test_dump_is_byte_identical_for_identical_runs():
         loop = EventLoop()
         recorder = FlightRecorder(capacity=16).attach(loop)
         for i in range(5):
-            loop.call_at(float(i + 1), lambda: None, wheel=(i % 2 == 0))
+            if i % 2 == 0:
+                loop.post(float(i + 1), lambda: None)
+            else:
+                loop.call_at(float(i + 1), lambda: None)
         loop.run()
         buffer = io.StringIO()
         recorder.dump(buffer, context={"seed": 1})

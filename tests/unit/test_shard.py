@@ -68,9 +68,10 @@ def test_fault_exactly_on_window_barrier():
 
 
 def test_timers_cancelled_across_window_boundary():
-    # NodeDown cancels heartbeat/worker timers armed thousands of windows
-    # earlier; the restart then re-arms them mid-run.  Exercises the timer
-    # wheel's cancel path across window boundaries on the owning shard.
+    # NodeDown cancels worker timers armed thousands of windows earlier and
+    # drops the agent from its heartbeat cohort; the restart then re-arms
+    # them mid-run.  Exercises cancellation across window boundaries on
+    # the owning shard.
     plan = ("NodeDown@10.0:r01m000;"
             "MachineRestart@18.0:r01m000;"
             "AgentRestart@22.0:r00m002")
