@@ -5,10 +5,13 @@ frameworks, the waiting time for each framework to acquire desired
 resources highly depends upon the resource offering order and other
 frameworks' scheduling efficiency."  We measure time-to-full-allocation for
 the *last-served* tenant as tenant count grows: offer rounds serialize
-tenants, the request-based scheduler serves everyone in one pass.
+tenants, the request-based scheduler serves everyone in one pass.  Both
+sides run on :class:`FuxiScheduler`; the Mesos side uses the integrated
+``MesosPolicy``, where one offer round is a heartbeat event on every
+machine and each event is an exclusive offer to one framework.
 """
 
-from repro.baselines import MesosFramework, MesosMaster
+from repro.baselines import MesosPolicy
 from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
 from repro.core.scheduler import FuxiScheduler
@@ -24,16 +27,26 @@ DEMAND = 8   # per tenant
 
 
 def mesos_rounds(tenants: int) -> int:
-    """Offer rounds until the last framework is fully allocated."""
-    master = MesosMaster()
+    """Offer rounds until the last framework gets its first allocation."""
+    scheduler = FuxiScheduler(policy=MesosPolicy())
     for i in range(MACHINES):
-        master.add_node(f"m{i}", SLOT * SLOTS_PER_MACHINE)
-    frameworks = [MesosFramework(f"f{i}", SLOT, demand=DEMAND)
-                  for i in range(tenants)]
-    for framework in frameworks:
-        master.register(framework)
-    master.run_until_satisfied()
-    return max(f.first_allocation_round for f in frameworks)
+        scheduler.add_machine(f"m{i}", "r0", SLOT * SLOTS_PER_MACHINE)
+    for i in range(tenants):
+        app = f"f{i}"
+        scheduler.register_app(app)
+        unit = ScheduleUnit(app, 1, SLOT)
+        scheduler.define_unit(unit)
+        # offer-based: a request is never placed on arrival
+        assert not scheduler.apply_request_delta(
+            RequestDelta.initial(unit.key, DEMAND))
+    first_round = {}
+    rounds = 0
+    while scheduler.waiting_units_total() > 0:
+        rounds += 1
+        for machine in scheduler.pool.machines():
+            for grant in scheduler.machine_event(machine):
+                first_round.setdefault(grant.unit_key.app_id, rounds)
+    return max(first_round.values())
 
 
 def fuxi_rounds(tenants: int) -> int:

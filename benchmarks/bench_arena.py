@@ -72,10 +72,11 @@ QUICK = dict(racks=2, machines_per_rack=(5,), mixes=("paper",),
 SCALE = dict(racks=100, machines_per_rack=(50,), mixes=("paper",),
              jobs=200, duration=30.0, scale=100)
 
-#: BENCH_arena.json schema: 3 adds kernel backend + numpy provenance to
-#: every mode; 2 added the paper-scale mode ("scale") and the
-#: input-locality hints that make ``locality_hit_rate`` differentiate cells
-SCHEMA = 3
+#: BENCH_arena.json schema: 4 drops the kernel-backend + numpy provenance
+#: that 3 added (there is one compute path now); 2 added the paper-scale
+#: mode ("scale") and the input-locality hints that make
+#: ``locality_hit_rate`` differentiate cells
+SCHEMA = 4
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -169,8 +170,6 @@ def run_grid(preset: dict, seed: int, jobs: int, say=print) -> dict:
             "schedule_ms": wall_timing,
             "digest": cell_digest(payload),
         })
-    from repro import kernels as kernel_backends
-
     timing = pooled.timing()
     return {
         "grid": {
@@ -191,10 +190,6 @@ def run_grid(preset: dict, seed: int, jobs: int, say=print) -> dict:
         "workers_requested": timing["workers_requested"],
         "wall_seconds": round(wall, 3),
         "python": sys.version.split()[0],
-        # compute-kernel provenance (results are byte-identical across
-        # backends; the wall clock is not)
-        "kernel_backend": kernel_backends.current(),
-        "numpy": kernel_backends.numpy_version(),
     }
 
 
@@ -451,10 +446,7 @@ def render_chart(doc: dict, mode: str) -> str:
     for group in facets.values():
         group.sort(key=lambda c: POLICIES.index(c["policy"]))
     grid = entry["grid"]
-    provenance = (f"seed {grid['seed']} · {len(cells)} cells · "
-                  f"kernels: {entry.get('kernel_backend', 'python')}"
-                  + (f" (numpy {entry['numpy']})"
-                     if entry.get("numpy") else ""))
+    provenance = f"seed {grid['seed']} · {len(cells)} cells"
 
     sections = []
     for measure, title, subtitle, fmt in CHART_MEASURES:

@@ -39,7 +39,7 @@ Usage::
     # 20,000-machine run — the tier the sharded engine targets
     python benchmarks/bench_scale_5000.py --xl --shards 4 --record sharded
 
-    # 100,000-machine run — the tier the vectorized kernels target
+    # 100,000-machine run (20x paper scale)
     python benchmarks/bench_scale_5000.py --xxl --record current
 
     # telemetry cost + per-subsystem attribution (hooks stay off for
@@ -73,14 +73,15 @@ QUICK = dict(racks=25, machines_per_rack=20, jobs=150, duration=20.0)
 #: beyond-paper scale: 20,000 machines — the tier the sharded engine exists
 #: for; shorter steady state so the leg stays recordable on small hosts
 XL = dict(racks=200, machines_per_rack=100, jobs=400, duration=15.0)
-#: internet scale: 100,000 machines — the tier the vectorized kernels
-#: exist for; a short steady state keeps the leg recordable anywhere
+#: internet scale: 100,000 machines; a short steady state keeps the leg
+#: recordable anywhere
 XXL = dict(racks=1000, machines_per_rack=100, jobs=200, duration=5.0)
 
-#: BENCH_scale.json schema: 3 adds the kernel backend + numpy version to
-#: every leg and the ``xxl`` (100k-machine) mode; 2 added host_cpu_count,
-#: worker/shard counts, the ``sharded`` label and the ``xl`` mode
-SCHEMA = 3
+#: BENCH_scale.json schema: 4 drops the kernel backend + numpy version
+#: that 3 added to every leg (there is one compute path now); 3 also added
+#: the ``xxl`` (100k-machine) mode; 2 added host_cpu_count, worker/shard
+#: counts, the ``sharded`` label and the ``xl`` mode
+SCHEMA = 4
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -91,12 +92,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="20,000-machine run (4x paper scale; the "
                              "sharded engine's target tier)")
     parser.add_argument("--xxl", action="store_true",
-                        help="100,000-machine run (20x paper scale; the "
-                             "vectorized kernels' target tier)")
-    parser.add_argument("--kernels", default="auto",
-                        choices=("auto", "numpy", "python"),
-                        help="compute-kernel backend (default auto; "
-                             "results are byte-identical either way)")
+                        help="100,000-machine run (20x paper scale)")
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="run the sharded engine with N agent-plane "
                              "domains (0 = serial; results are "
@@ -148,22 +144,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
                   duration: float, seed: int,
                   live_sample: bool = False, profile: bool = False,
-                  shards: int = 0, shard_backend: str = "auto",
-                  kernels: str = "auto") -> dict:
+                  shards: int = 0, shard_backend: str = "auto") -> dict:
     """One closed-loop synthetic run; returns the measured result dict."""
-    from repro import kernels as kernel_backends
     from repro.api import RunSpec, simulate
 
     spec = RunSpec(racks=racks, machines_per_rack=machines_per_rack,
                    concurrent_jobs=jobs, duration=duration,
                    live_sample=live_sample, profile=profile,
-                   shards=shards, shard_backend=shard_backend,
-                   kernels=kernels)
+                   shards=shards, shard_backend=shard_backend)
     machines = racks * machines_per_rack
     extras = "".join(f" [{name}]" for name, on in
                      (("live-sample", live_sample), ("profile", profile),
-                      (f"shards={shards}", shards > 0),
-                      (f"kernels={kernels}", kernels != "auto"))
+                      (f"shards={shards}", shards > 0))
                      if on)
     print(f"running {machines} machines / {jobs} concurrent jobs / "
           f"{duration:.0f}s steady state (seed {seed}){extras} ...",
@@ -217,10 +209,6 @@ def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
         "peak_rss_mb": round(peak_rss_mb, 1),
         "host_cpu_count": os.cpu_count() or 1,
         "python": sys.version.split()[0],
-        # compute-kernel provenance: what the run actually executed with
-        # ("auto" resolves before the first pool is built)
-        "kernel_backend": kernel_backends.current(),
-        "numpy": kernel_backends.numpy_version(),
     }
     if live_sample:
         store = result.timeseries
@@ -242,7 +230,6 @@ def run_sweep_benchmark(racks: int, machines_per_rack: int, jobs: int,
     meaningful on multi-core hosts, so ``host_cpu_count`` travels with
     the numbers instead of gating them.
     """
-    from repro import kernels as kernel_backends
     from repro.parallel import make_tasks, run_sweep
 
     params = dict(racks=racks, machines_per_rack=machines_per_rack,
@@ -275,8 +262,6 @@ def run_sweep_benchmark(racks: int, machines_per_rack: int, jobs: int,
         "failed": len(pooled.failures),
         "task_wall_spread": timing["task_wall_spread"],
         "python": sys.version.split()[0],
-        "kernel_backend": kernel_backends.current(),
-        "numpy": kernel_backends.numpy_version(),
     }
 
 
@@ -426,8 +411,7 @@ def main(argv=None) -> int:
     result = run_benchmark(racks, machines_per_rack, jobs, duration,
                            args.seed, live_sample=args.live_sample,
                            profile=args.profile, shards=args.shards,
-                           shard_backend=args.shard_backend,
-                           kernels=args.kernels)
+                           shard_backend=args.shard_backend)
     print(json.dumps(result, indent=2))
 
     claims = fig09_claims(result)

@@ -1,8 +1,7 @@
 """``repro.api`` — the one public surface of the Fuxi reproduction.
 
-Everything a user needs lives here; reaching into ``repro.runtime``,
-``repro.experiments.workload_runner`` or ``repro.core.*`` directly is
-deprecated.  Two entry points:
+Everything a user needs lives here; reaching into ``repro._runtime`` or
+``repro.core.*`` directly is unsupported.  Two entry points:
 
 - :class:`ClusterBuilder` — construct a wired :class:`FuxiCluster` from
   keyword arguments or fluent calls, for hands-on driving (submit specific
@@ -117,12 +116,6 @@ class RunSpec(ConfigBase):
         "auto", help="shard execution backend: forked processes, inline "
                      "(same-process reference), or auto-pick by CPU count",
         choices=("auto", "process", "inline"))
-    kernels: str = conf(
-        "auto", help="compute-kernel backend for the pool/heartbeat hot "
-                     "paths: vectorized numpy, pure-python reference, or "
-                     "auto-pick by availability; results are byte-identical "
-                     "either way",
-        choices=("auto", "numpy", "python"))
     fault_spec: str = conf(
         "", help="semicolon-separated fault plan applied to the run, "
                  "kind@time[:machine][:key=value] tokens "
@@ -175,11 +168,6 @@ class RunResult:
         return self.cluster.metrics
 
     @property
-    def completed(self) -> int:
-        """Back-compat alias for :attr:`jobs_completed`."""
-        return self.jobs_completed
-
-    @property
     def job_results(self) -> Dict[str, object]:
         return self.cluster.job_results
 
@@ -225,7 +213,6 @@ class RunResult:
         spec_dict = self.spec.to_dict()
         spec_dict.pop("shards", None)
         spec_dict.pop("shard_backend", None)
-        spec_dict.pop("kernels", None)
         summary = {
             "spec": spec_dict,
             "seed": self.spec.seed,
@@ -486,11 +473,6 @@ def simulate(spec: Optional[RunSpec] = None, *,
         overrides["trace"] = trace
     if overrides:
         spec = spec.replace(**overrides)
-
-    # Kernel backend is process-global (pools/heartbeat columns consult it
-    # at construction time), so pin it before any cluster objects exist.
-    from repro import kernels as kernel_backends
-    kernel_backends.select(spec.kernels)
 
     cluster = (ClusterBuilder(racks=spec.racks,
                               machines_per_rack=spec.machines_per_rack,

@@ -3,11 +3,9 @@
 Each class here is a :class:`repro.core.policy.SchedulerPolicy` running on
 the *same* fit-indexed pool, ledger, digest sync and event substrate
 as Fuxi itself — only the decision surface differs, so the arena benchmark
-(``benchmarks/bench_arena.py``) compares policies, not bookkeeping
-implementations.  The standalone micro-models in
-:mod:`repro.baselines._yarn` / ``_mesos`` / ``_hadoop10`` remain for the
-protocol-cost ablations; these policies are their cluster-integrated
-counterparts.
+(``benchmarks/bench_arena.py``) and the design ablations
+(:mod:`repro.experiments.ablations`) compare policies, not bookkeeping
+implementations.
 
 Every policy is deterministic: its soft state is a pure function of the
 grant/revoke/return stream, which itself is a pure function of (spec,

@@ -245,29 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="small fixed workload (2 racks x 5 "
                                  "machines, 20 sim-s) for CI smoke")
 
-    kernelcheck = sub.add_parser(
-        "kernelcheck",
-        help="prove the vectorized kernel backend reproduces the pure-"
-             "python reference byte-for-byte: one spec runs with kernels "
-             "on and off, serial and sharded, and every deterministic "
-             "artifact is compared against the python/serial oracle")
-    add_config_args(kernelcheck, RunSpec,
-                    only=("racks", "machines_per_rack", "concurrent_jobs",
-                          "duration", "workload_scale", "seed",
-                          "fault_spec"))
-    kernelcheck.add_argument("--shards", type=int, default=2, metavar="N",
-                             help="shard count for the sharded legs "
-                                  "(default 2)")
-    kernelcheck.add_argument("--backend", default="auto",
-                             choices=("auto", "process", "inline"),
-                             help="shard backend for the sharded legs")
-    kernelcheck.add_argument("--quick", action="store_true",
-                             help="small fixed workload (2 racks x 5 "
-                                  "machines, 20 sim-s) for CI smoke")
-    kernelcheck.add_argument("--serial-only", action="store_true",
-                             help="skip the sharded legs (kernels on/off "
-                                  "over the serial engine only)")
-
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument("name", choices=EXPERIMENTS)
     experiment.add_argument("--trace-out", metavar="FILE", default=None,
@@ -754,79 +731,6 @@ def cmd_shardcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernelcheck(args: argparse.Namespace) -> int:
-    """Byte-identity gate for the kernel layer: the same spec runs with
-    kernels on and off, serial and sharded, and every leg's grant stream,
-    summary JSON and trace export must match the python/serial oracle."""
-    import time
-
-    from repro import kernels
-    from repro.api import simulate
-    from repro.obs.export import dumps_trace
-
-    overrides = {}
-    if args.quick:
-        overrides.update(racks=2, machines_per_rack=5, concurrent_jobs=6,
-                         duration=20.0, workload_scale=20, workers_cap=4)
-    shards = max(args.shards, 1)
-    base = config_from_args(RunSpec, args, shards=0, trace=True,
-                            kernels="python", **overrides)
-
-    legs = [("python/serial", base)]
-    if not args.serial_only:
-        legs.append(("python/sharded",
-                     base.replace(shards=shards,
-                                  shard_backend=args.backend)))
-    if kernels.numpy_available():
-        legs.append(("numpy/serial", base.replace(kernels="numpy")))
-        if not args.serial_only:
-            legs.append(("numpy/sharded",
-                         base.replace(kernels="numpy", shards=shards,
-                                      shard_backend=args.backend)))
-    else:
-        print("numpy unavailable: checking the pure-python backend only",
-              file=sys.stderr)
-
-    artifacts = {}
-    walls = {}
-    for name, spec in legs:
-        wall = time.perf_counter()
-        result = simulate(spec)
-        walls[name] = time.perf_counter() - wall
-        summary = result.summary_dict()
-        artifacts[name] = {
-            "grant stream": json.dumps(summary["grant_stream"]),
-            "summary JSON": json.dumps(summary, sort_keys=True),
-            "trace export": dumps_trace(result.cluster.tracer),
-        }
-    kernels.select("auto")  # leave the process in its default state
-
-    oracle_name, oracle = legs[0][0], artifacts[legs[0][0]]
-    failed = []
-    rows = []
-    for name, _ in legs[1:]:
-        verdicts = []
-        for artifact, reference in oracle.items():
-            ok = artifacts[name][artifact] == reference
-            if not ok:
-                failed.append(f"{name}:{artifact}")
-            verdicts.append("match" if ok else "MISMATCH")
-        rows.append([name] + verdicts + [f"{walls[name]:.2f}s"])
-    header = [f"leg (vs {oracle_name})"] + list(oracle) + ["wall"]
-    print(format_table(
-        header, rows,
-        title=f"kernelcheck seed={base.seed} machines={base.machines} "
-              f"duration={base.duration:g} shards={shards}"
-              + (f" faults={base.fault_spec!r}" if base.fault_spec else "")))
-    if failed:
-        print(f"MISMATCH: {', '.join(failed)} — a kernel leg diverged "
-              f"from the python/serial oracle", file=sys.stderr)
-        return 1
-    print(f"byte-identical across {len(legs)} legs "
-          f"(numpy {kernels.numpy_version() or 'absent'})")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a JSONL artifact as a static self-contained HTML report."""
     from repro.obs.report import write_report
@@ -902,7 +806,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": cmd_sweep,
         "top": cmd_top,
         "shardcheck": cmd_shardcheck,
-        "kernelcheck": cmd_kernelcheck,
         "report": cmd_report,
         "experiment": cmd_experiment,
     }

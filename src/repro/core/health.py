@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set
 
-from repro.kernels.heartbeat import make_time_column
-
 
 class HealthPlugin:
     """One check item.  Subclass and override :meth:`evaluate`."""
@@ -108,10 +106,8 @@ class HealthMonitor:
         self.threshold = threshold
         self.grace_seconds = grace_seconds
         self._machines: Dict[str, _MachineHealth] = {}
-        # When each below-threshold machine first dipped, in a columnar
-        # time column (repro.kernels): the grace-period roll-up is one
-        # vectorized pass instead of an O(machines) scan per liveness tick.
-        self._below_since = make_time_column()
+        # When each below-threshold machine first dipped (insertion order).
+        self._below_since: Dict[str, float] = {}
         self._total_weight = sum(p.weight for p in self.plugins)
 
     def add_plugin(self, plugin: HealthPlugin) -> None:
@@ -147,9 +143,9 @@ class HealthMonitor:
         state.score = score
         if score < self.threshold:
             if machine not in self._below_since:
-                self._below_since.set(machine, now)
+                self._below_since[machine] = now
         else:
-            self._below_since.pop(machine)
+            self._below_since.pop(machine, None)
         return score
 
     def score(self, machine: str) -> float:
@@ -158,8 +154,10 @@ class HealthMonitor:
 
     def unavailable_machines(self, now: float) -> Set[str]:
         """Machines below threshold for longer than the grace period."""
-        return set(self._below_since.elapsed_at_least(now, self.grace_seconds))
+        grace = self.grace_seconds
+        return {machine for machine, since in self._below_since.items()
+                if now - since >= grace}
 
     def forget(self, machine: str) -> None:
         self._machines.pop(machine, None)
-        self._below_since.pop(machine)
+        self._below_since.pop(machine, None)

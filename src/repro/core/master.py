@@ -36,7 +36,6 @@ from repro.core.quota import DEFAULT_GROUP, QuotaGroup
 from repro.core.request import WaitingDemand
 from repro.core.scheduler import FuxiScheduler, SchedulerConfig
 from repro.core.units import UnitKey
-from repro.kernels.heartbeat import make_time_column
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
@@ -92,10 +91,8 @@ class FuxiMaster(Actor):
         # stream as the serial oracle (the PR 9 byte-identity gate).
         self.grant_stream_digest = 0xCBF29CE484222325
         self.grants_disseminated = 0
-        # Columnar last-beat timestamps (repro.kernels): per-beat updates
-        # are O(1) stores; the periodic staleness roll-up of _check_liveness
-        # is one vectorized threshold pass instead of an O(machines) loop.
-        self._last_agent_seen = make_time_column()
+        # Last-beat time of each live agent, in insertion order.
+        self._last_agent_seen: Dict[str, float] = {}
         self._last_app_seen: Dict[str, float] = {}
         self._app_master_machine: Dict[str, str] = {}
         # AM-placement index: machine -> count of AMs hosted there, plus a
@@ -153,7 +150,7 @@ class FuxiMaster(Actor):
         self.bus.set_alias(self.config.alias, self.name)
         self.scheduler = FuxiScheduler(self.config.scheduler,
                                        tracer=self.tracer)
-        self._last_agent_seen = make_time_column()
+        self._last_agent_seen = {}
         self._last_app_seen = {}
         # Rebuild the AM-placement index from the surviving assignment map;
         # heap entries reappear as agents report in (_note_agent_alive).
@@ -418,7 +415,7 @@ class FuxiMaster(Actor):
             # at its current load.
             heapq.heappush(self._am_heap,
                            (self._am_hosted.get(machine, 0), machine))
-        self._last_agent_seen.set(machine, self.loop.now)
+        self._last_agent_seen[machine] = self.loop.now
 
     def _handle_agent_heartbeat(self, sender: str, beat: msg.AgentHeartbeat) -> None:
         if self.scheduler is None:
@@ -592,11 +589,11 @@ class FuxiMaster(Actor):
                 self.tracer.event("master.machine_disabled",
                                   machine=machine, reason="low_health")
         # Machines with dead heartbeats: remove + revoke (paper §4.3.2).
-        # The stale set is one columnar ``now - seen > timeout`` pass, in
-        # the same insertion order the dict scan used to walk.
-        for machine in self._last_agent_seen.stale(
-                now, self.config.heartbeat_timeout):
-            self._last_agent_seen.pop(machine)
+        timeout = self.config.heartbeat_timeout
+        last_beat = self._last_agent_seen
+        for machine in [m for m, last in last_beat.items()
+                        if now - last > timeout]:
+            del last_beat[machine]
             if self.scheduler.pool.has_machine(machine):
                 self.tracer.event("master.machine_removed", machine=machine,
                                   reason="heartbeat_timeout")

@@ -21,13 +21,19 @@ from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.resources import ResourceVector
-from repro.kernels.fitindex import make_fit_columns, rank as _rank
 
 #: stop indexing new shapes beyond this many distinct unit sizes (real
 #: workloads use a handful; the fallback scan keeps exotic callers correct).
 _MAX_SHAPE_INDEXES = 32
 
 _ZERO = ResourceVector()
+
+
+def _rank(scored: List[Tuple[str, int]],
+          limit: Optional[int] = None) -> List[Tuple[str, int]]:
+    """Sort (machine, units) pairs in place by ``(-units, name)``; prefix cut."""
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored if limit is None else scored[:limit]
 
 
 class _ShapeIndex:
@@ -126,8 +132,6 @@ class FreeResourcePool:
         # unit-size -> incrementally maintained fit index (see module doc)
         self._shape_indexes: Dict[ResourceVector, _ShapeIndex] = {}
         self._sorted_machines: Optional[List[str]] = None
-        # columnar free-vector store for bulk fit-count sweeps (repro.kernels)
-        self._columns = make_fit_columns(self._free)
         # Running per-dimension totals, maintained by delta on every
         # capacity/free change: total_capacity/total_free are O(dims) reads
         # instead of O(machines) rebuilds (the live sampler polls them
@@ -152,7 +156,6 @@ class FreeResourcePool:
         self._totals_shift(self._free_totals, self._free.get(machine), free)
         self._free_total_vec = None
         self._free[machine] = free
-        self._columns.set_free(machine, free)
         if free.is_zero():
             self._has_free.discard(machine)
             for index in self._shape_indexes.values():
@@ -163,12 +166,19 @@ class FreeResourcePool:
                 index.update(machine,
                              index.unit_size.max_units_in(free))
 
+    def _fit_counts(self, unit_size: ResourceVector,
+                    machines: List[str]) -> List[int]:
+        """Whole units of ``unit_size`` that fit on each of ``machines``."""
+        max_units_in = unit_size.max_units_in
+        free = self._free
+        return [max_units_in(free[m]) for m in machines]
+
     def _shape_index(self, unit_size: ResourceVector) -> Optional[_ShapeIndex]:
         """The (lazily built) index for this unit size, or None if over cap.
 
-        First build is one columnar ``bulk_units`` sweep over the machines
-        with free resources plus a linear bucket fill — no per-machine
-        scalar fit math, no insort (see ``_ShapeIndex.bulk_build``).
+        First build is one fit-count pass over the machines with free
+        resources plus a linear bucket fill — no insort (see
+        ``_ShapeIndex.bulk_build``).
         """
         index = self._shape_indexes.get(unit_size)
         if index is None:
@@ -176,8 +186,7 @@ class FreeResourcePool:
                 return None
             index = _ShapeIndex(unit_size)
             machines = sorted(self._has_free)
-            index.bulk_build(machines,
-                             self._columns.bulk_units(unit_size, machines))
+            index.bulk_build(machines, self._fit_counts(unit_size, machines))
             self._shape_indexes[unit_size] = index
         return index
 
@@ -216,7 +225,6 @@ class FreeResourcePool:
         if free is not None:
             self._totals_shift(self._free_totals, free, None)
             self._free_total_vec = None
-        self._columns.drop(machine)
         self._disabled.discard(machine)
         self._has_free.discard(machine)
         for index in self._shape_indexes.values():
@@ -377,14 +385,12 @@ class FreeResourcePool:
                     units = self.max_units(machine, unit_size)
                     if units > 0:
                         scored.append((machine, units))
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            return scored if limit is None else scored[:limit]
+            return _rank(scored, limit)
         if index is not None:
             return index.ranked(self._disabled, limit)
-        # over the shape cap: bulk fit-count sweep over eligible machines
+        # over the shape cap: fit-count pass over eligible machines
         machines = sorted(m for m in self._has_free
                           if m not in self._disabled)
-        counts = self._columns.bulk_units(unit_size, machines)
-        return _rank([(machine, units)
-                      for machine, units in zip(machines, counts)
+        return _rank([(machine, units) for machine, units
+                      in zip(machines, self._fit_counts(unit_size, machines))
                       if units > 0], limit)

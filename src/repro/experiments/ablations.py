@@ -5,12 +5,16 @@ A. **Incremental protocol vs full re-assertion** — same workload schedule,
    application re-sending its complete request/holding state every
    heartbeat (the "simple iterative process that keeps asking" of §3.1).
 B. **Locality tree vs global rescheduling** — per-event scheduling cost of
-   Fuxi's machine-path queues vs a Hadoop-1.0-style global recompute, as a
-   function of cluster size.
+   Fuxi's machine-path queues vs the Hadoop-1.0 policy's global recompute,
+   as a function of cluster size.
 C. **Container reuse vs reclaim-on-exit** — multi-wave task execution on
    Fuxi semantics (containers kept across instances) vs YARN semantics
    (reclaim + heartbeat-paced re-allocation per task), comparing makespan
    and resource-manager message counts.
+
+The comparators are the integrated policies of :mod:`repro.baselines`
+running on the same :class:`FuxiScheduler` as Fuxi itself, so each
+ablation isolates the decision rule, not the bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines import (Hadoop10Scheduler, SlotRequest, YarnRequest,
-                             YarnScheduler)
+from repro.baselines import Hadoop10Policy, YarnPolicy
+from repro.core.policy import SchedulerPolicy
 from repro.core.request import RequestDelta
 from repro.core.resources import ResourceVector
 from repro.core.scheduler import FuxiScheduler
@@ -165,8 +169,8 @@ def locality_ablation(config: Optional[LocalityAblationConfig] = None,
     naive_times: List[float] = []
     for machines in config.cluster_sizes:
         apps = max(2, int(machines * config.apps_factor))
-        fuxi_us = _fuxi_event_cost(machines, apps, config)
-        naive_us = _hadoop_event_cost(machines, apps, config)
+        fuxi_us = _event_cost(machines, apps, config)
+        naive_us = _event_cost(machines, apps, config, Hadoop10Policy())
         fuxi_times.append(fuxi_us)
         naive_times.append(naive_us)
         rows.append([machines, apps, f"{fuxi_us:.1f}", f"{naive_us:.1f}",
@@ -187,9 +191,15 @@ def locality_ablation(config: Optional[LocalityAblationConfig] = None,
     return report
 
 
-def _fuxi_event_cost(machines: int, apps: int,
-                     config: LocalityAblationConfig) -> float:
-    scheduler = FuxiScheduler()
+def _event_cost(machines: int, apps: int, config: LocalityAblationConfig,
+                policy: Optional[SchedulerPolicy] = None) -> float:
+    """Mean wall-clock cost of one return + re-request cycle, in µs.
+
+    Every app wants more than the cluster holds, so each returned unit is
+    granted straight back to a waiting app.  Fuxi serves the one machine's
+    queue path; ``global_recompute`` policies rescan every machine.
+    """
+    scheduler = FuxiScheduler(policy=policy)
     for m in range(machines):
         scheduler.add_machine(f"m{m:04d}", f"r{m % 8}",
                               SLOT * config.slots_per_machine)
@@ -212,20 +222,6 @@ def _fuxi_event_cost(machines: int, apps: int,
         machine, _ = entry
         scheduler.return_resource(unit_key, machine, 1)
         scheduler.apply_request_delta(RequestDelta.initial(unit_key, 1))
-    return (time.perf_counter() - started) / config.events * 1e6
-
-
-def _hadoop_event_cost(machines: int, apps: int,
-                       config: LocalityAblationConfig) -> float:
-    scheduler = Hadoop10Scheduler()
-    for m in range(machines):
-        scheduler.add_node(f"m{m:04d}", SLOT * config.slots_per_machine)
-    per_app = 2 * machines * config.slots_per_machine // apps + 1
-    for a in range(apps):
-        scheduler.submit(SlotRequest(f"app{a:04d}", SLOT, per_app))
-    started = time.perf_counter()
-    for i in range(config.events):
-        scheduler.release(f"m{i % machines:04d}", SLOT)
     return (time.perf_counter() - started) / config.events * 1e6
 
 
@@ -253,31 +249,39 @@ def container_reuse_ablation(config: Optional[ReuseAblationConfig] = None,
     fuxi_makespan = waves * config.task_seconds
     fuxi_rm_messages = 1 + config.machines + config.machines  # req+grants+returns
 
-    # YARN semantics: every task is a fresh container negotiated via
-    # heartbeat-paced allocation against the baseline scheduler.
-    yarn = YarnScheduler(heartbeat_interval=config.heartbeat_seconds)
+    # YARN semantics: every task is a fresh container, returned when the
+    # task ends; the one request waits for node heartbeats to be served.
+    yarn = FuxiScheduler(policy=YarnPolicy())
     for m in range(config.machines):
-        yarn.add_node(f"m{m:03d}", SLOT * config.slots_per_machine)
-    yarn.submit_request(YarnRequest("app", SLOT, config.instances))
+        yarn.add_machine(f"m{m:03d}", "r0", SLOT * config.slots_per_machine)
+    yarn.register_app("app")
+    unit = ScheduleUnit("app", 1, SLOT)
+    yarn.define_unit(unit)
+    yarn.apply_request_delta(RequestDelta.initial(unit.key,
+                                                  config.instances))
+    returns = 0
     clock = 0.0
-    finishing: List[Tuple[float, int]] = []   # (finish time, container id)
-    completed = 0
-    while completed < config.instances:
+    finishing: List[Tuple[float, str]] = []   # (finish time, machine)
+
+    def launch(grants) -> None:
+        for grant in grants:
+            finishing.extend([(clock + config.task_seconds, grant.machine)]
+                             * grant.count)
+
+    while returns < config.instances:
         clock += config.heartbeat_seconds
         # containers that completed since the last heartbeat tick
         done_now = [f for f in finishing if f[0] <= clock]
         finishing = [f for f in finishing if f[0] > clock]
-        for _, container_id in done_now:
-            yarn.task_completed(container_id)
-            completed += 1
+        for _, machine in done_now:
+            returns += 1
+            launch(yarn.return_resource(unit.key, machine, 1))
         # each node heartbeats once per interval
         for m in range(config.machines):
-            for container in yarn.on_node_heartbeat(f"m{m:03d}"):
-                finishing.append((clock + config.task_seconds,
-                                  container.container_id))
+            launch(yarn.machine_event(f"m{m:03d}"))
     yarn_makespan = clock
-    yarn_rm_messages = (yarn.request_messages + yarn.containers_granted
-                        + yarn.reschedule_rounds)
+    # one request message, then a grant and a return per container
+    yarn_rm_messages = 1 + yarn.stats.units_granted + returns
 
     report = ExperimentReport(
         exp_id="ablation-reuse",

@@ -238,7 +238,7 @@ def shard_worker_main(conn, spec: DomainSpec,
     control tuples; without rings (or when a frame doesn't fit) the payload
     rides the pipe as before.
     """
-    from repro.kernels.ring import dumps_frame, loads_frame
+    from repro.shard.ring import dumps_frame, loads_frame
 
     if ring_in is not None:
         ring_in.disown()        # parent owns the segments; never unlink here

@@ -25,7 +25,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import List, Optional
 
-from repro.kernels import ring as ring_mod
+from repro.shard import ring as ring_mod
 from repro.shard.domain import DomainSpec, ShardDomain, shard_worker_main
 
 
@@ -61,7 +61,7 @@ class ProcessShardHost:
 
     ``fork`` is required (and asserted): the DomainSpec — which embeds the
     topology — travels by address-space inheritance.  Each worker link gets
-    a pair of framed shm rings (:mod:`repro.kernels.ring`), created before
+    a pair of framed shm rings (:mod:`repro.shard.ring`), created before
     the fork so both sides share the mapping.  Envelope batches are pickled
     **once** per window into a ring frame; the pipes carry only small
     ``(offset, length)`` control tuples, which removes the per-window

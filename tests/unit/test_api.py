@@ -1,9 +1,6 @@
-"""The ``repro.api`` facade: builder, RunSpec, simulate, deprecation shims."""
+"""The ``repro.api`` facade: builder, RunSpec, simulate."""
 
-import importlib
 import json
-import sys
-import warnings
 
 import pytest
 
@@ -95,7 +92,6 @@ def test_simulate_seed_override_changes_run_not_spec():
 def test_simulate_completes_jobs():
     result = simulate(SMALL)
     assert result.jobs_completed > 0
-    assert result.completed == result.jobs_completed  # back-compat alias
     assert len(result.submitted) >= SMALL.concurrent_jobs
 
 
@@ -142,32 +138,6 @@ def test_schedule_faults_rejects_unknown_machines_before_arming():
     assert cluster.loop.pending() == pending  # nothing was armed
 
 
-# ------------------------- deprecation shims ------------------------ #
-
-def _fresh_import(module_name):
-    sys.modules.pop(module_name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        module = importlib.import_module(module_name)
-    return module, [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-
-def test_runtime_shim_warns_and_forwards():
-    module, deprecations = _fresh_import("repro.runtime")
-    assert deprecations, "importing repro.runtime must warn"
-    from repro._runtime import FuxiCluster
-    assert module.FuxiCluster is FuxiCluster
-
-
-def test_workload_runner_shim_warns_and_forwards():
-    module, deprecations = _fresh_import(
-        "repro.experiments.workload_runner")
-    assert deprecations, "importing workload_runner must warn"
-    assert module.SyntheticRunConfig is RunSpec
-    assert module.run_synthetic_workload is not None
-
-
 def test_package_root_reexports():
     import repro
     assert repro.ClusterBuilder is ClusterBuilder
@@ -188,7 +158,6 @@ def test_summary_dict_is_deterministic_and_json_able():
     expected_spec = spec.to_dict()
     expected_spec.pop("shards")
     expected_spec.pop("shard_backend")
-    expected_spec.pop("kernels")
     assert first["spec"] == expected_spec
     assert first["jobs_submitted"] > 0
     assert first["events"] > 0

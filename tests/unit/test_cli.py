@@ -428,20 +428,3 @@ def test_shardcheck_quick_with_fault_plan(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "byte-identical across engines" in out
-
-
-def test_kernelcheck_quick_serial_only(capsys):
-    code = main(["kernelcheck", "--quick", "--serial-only"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "byte-identical across" in out
-
-
-def test_kernelcheck_quick_sharded_with_fault_plan(capsys):
-    code = main(["kernelcheck", "--quick", "--shards", "2",
-                 "--backend", "inline",
-                 "--faults", "NodeDown@8:r00m001"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "byte-identical across" in out
-    assert "python/sharded" in out

@@ -1,8 +1,11 @@
 """Unit + property tests for the free resource pool."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import pool as pool_module
 from repro.core.pool import FreeResourcePool
 from repro.core.resources import ResourceVector
 
@@ -229,28 +232,20 @@ def test_ranking_matches_reference_scan_on_random_demand(ops):
             assert pool.best_fit_machines(size) == reference_ranking(pool, size)
 
 
-def _kernel_backends():
-    from repro import kernels
-    return ("python", "numpy") if kernels.numpy_available() else ("python",)
-
-
-@pytest.mark.parametrize("backend", _kernel_backends())
 @given(ops=st.lists(st.tuples(st.sampled_from(MACHINES),
                               st.sampled_from(range(len(SIZES))),
                               st.integers(min_value=1, max_value=4),
                               st.sampled_from(["alloc", "release", "disable",
                                                "enable", "remove", "add"])),
                     max_size=40))
-def test_ranking_matches_reference_on_every_kernel_backend(backend, ops):
-    """Both kernel backends must reproduce the reference scan exactly.
+def test_ranking_over_the_shape_cap_matches_reference(ops):
+    """With no shape index to serve it, the fit-count pass ranks identically.
 
-    The vectorized fit columns and the pure-python fallback are selected at
-    pool construction; the same churn sequence must rank identically under
-    either — the byte-identity contract of :mod:`repro.kernels`.
+    Past ``_MAX_SHAPE_INDEXES`` distinct unit sizes the pool ranks by a
+    fresh fit-count pass over the eligible machines; capping at zero
+    forces that path for every query, full ranking and prefix alike.
     """
-    from repro import kernels
-
-    with kernels.use(backend):
+    with mock.patch.object(pool_module, "_MAX_SHAPE_INDEXES", 0):
         pool = make_pool(MACHINES)
         for machine, size_idx, units, op in ops:
             amount = SIZES[size_idx] * units
@@ -269,8 +264,13 @@ def test_ranking_matches_reference_on_every_kernel_backend(backend, ops):
             else:
                 pool.add_machine(machine, CAP)
             for size in SIZES:
-                assert pool.best_fit_machines(size) == \
-                    reference_ranking(pool, size)
+                expected = reference_ranking(pool, size)
+                assert pool.best_fit_machines(size) == expected
+                assert pool.best_fit_machines(size, limit=3) == expected[:3]
+                subset = iter(MACHINES[::2])
+                assert pool.best_fit_machines(size, candidates=subset) == \
+                    [e for e in expected if e[0] in MACHINES[::2]]
+        assert not pool._shape_indexes
 
 
 def test_ranking_with_candidates_matches_reference():
