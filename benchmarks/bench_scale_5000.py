@@ -33,11 +33,8 @@ Usage::
     python benchmarks/bench_scale_5000.py --quick --sweep 8 --sweep-jobs 4 \
         --record current
 
-    # sharded engine leg (byte-identical results, parallel inside one run)
-    python benchmarks/bench_scale_5000.py --shards 4 --record sharded
-
-    # 20,000-machine run — the tier the sharded engine targets
-    python benchmarks/bench_scale_5000.py --xl --shards 4 --record sharded
+    # 20,000-machine run (4x paper scale)
+    python benchmarks/bench_scale_5000.py --xl --record current
 
     # 100,000-machine run (20x paper scale)
     python benchmarks/bench_scale_5000.py --xxl --record current
@@ -70,17 +67,18 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FULL = dict(racks=100, machines_per_rack=50, jobs=1000, duration=60.0)
 #: CI-sized smoke: same shape, ~10x smaller, finishes in well under a minute
 QUICK = dict(racks=25, machines_per_rack=20, jobs=150, duration=20.0)
-#: beyond-paper scale: 20,000 machines — the tier the sharded engine exists
-#: for; shorter steady state so the leg stays recordable on small hosts
+#: beyond-paper scale: 20,000 machines; a shorter steady state keeps the
+#: leg recordable on small hosts
 XL = dict(racks=200, machines_per_rack=100, jobs=400, duration=15.0)
 #: internet scale: 100,000 machines; a short steady state keeps the leg
 #: recordable anywhere
 XXL = dict(racks=1000, machines_per_rack=100, jobs=200, duration=5.0)
 
 #: BENCH_scale.json schema: 4 drops the kernel backend + numpy version
-#: that 3 added to every leg (there is one compute path now); 3 also added
-#: the ``xxl`` (100k-machine) mode; 2 added host_cpu_count, worker/shard
-#: counts, the ``sharded`` label and the ``xl`` mode
+#: that 3 added to every leg (there is one compute path now) and the
+#: sharded-engine fields (``sharded`` legs, ``shard_throughput_ratio``,
+#: per-leg shards/shard_backend/workers); 3 added the ``xxl``
+#: (100k-machine) mode; 2 added host_cpu_count and the ``xl`` mode
 SCHEMA = 4
 
 
@@ -89,17 +87,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized run (~500 machines / 150 jobs)")
     parser.add_argument("--xl", action="store_true",
-                        help="20,000-machine run (4x paper scale; the "
-                             "sharded engine's target tier)")
+                        help="20,000-machine run (4x paper scale)")
     parser.add_argument("--xxl", action="store_true",
                         help="100,000-machine run (20x paper scale)")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="run the sharded engine with N agent-plane "
-                             "domains (0 = serial; results are "
-                             "byte-identical either way)")
-    parser.add_argument("--shard-backend", default="auto",
-                        choices=("auto", "process", "inline"),
-                        help="shard execution backend (default auto)")
     parser.add_argument("--racks", type=int, default=None)
     parser.add_argument("--machines-per-rack", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None,
@@ -115,11 +105,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="attach the per-subsystem profiler and add "
                              "its wall/event attribution to the result "
                              "under 'profile'")
-    parser.add_argument("--record", choices=("baseline", "current",
-                                             "sharded"),
+    parser.add_argument("--record", choices=("baseline", "current"),
                         default=None,
-                        help="store this run under the given label in --out "
-                             "(sharded requires --shards)")
+                        help="store this run under the given label in --out")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_scale.json"))
     parser.add_argument("--fig09-out", default=None,
                         help="write the Figure-9 shape-claim check here "
@@ -143,19 +131,16 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
                   duration: float, seed: int,
-                  live_sample: bool = False, profile: bool = False,
-                  shards: int = 0, shard_backend: str = "auto") -> dict:
+                  live_sample: bool = False, profile: bool = False) -> dict:
     """One closed-loop synthetic run; returns the measured result dict."""
     from repro.api import RunSpec, simulate
 
     spec = RunSpec(racks=racks, machines_per_rack=machines_per_rack,
                    concurrent_jobs=jobs, duration=duration,
-                   live_sample=live_sample, profile=profile,
-                   shards=shards, shard_backend=shard_backend)
+                   live_sample=live_sample, profile=profile)
     machines = racks * machines_per_rack
     extras = "".join(f" [{name}]" for name, on in
-                     (("live-sample", live_sample), ("profile", profile),
-                      (f"shards={shards}", shards > 0))
+                     (("live-sample", live_sample), ("profile", profile))
                      if on)
     print(f"running {machines} machines / {jobs} concurrent jobs / "
           f"{duration:.0f}s steady state (seed {seed}){extras} ...",
@@ -164,7 +149,7 @@ def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
     result = simulate(spec, seed=seed, trace=False)
     wall = time.perf_counter() - started
     loop = result.cluster.loop
-    events_total = result.cluster.events_total
+    events = loop.events_executed
     series = result.metrics.series("fm.schedule_ms")
     values = series.values()
     half = len(values) // 2
@@ -182,16 +167,8 @@ def run_benchmark(racks: int, machines_per_rack: int, jobs: int,
         "seed": seed,
         "wall_seconds": round(wall, 3),
         "sim_seconds": round(loop.now, 3),
-        "events": events_total,
-        "events_per_sec": round(events_total / wall, 1),
-        # execution shape: worker processes driving the run, agent-plane
-        # shard count (0 = serial engine); "auto" backends report what
-        # they resolved to
-        "workers": (1 + shards if shards
-                    and result.cluster.resolved_backend == "process" else 1),
-        "shards": shards,
-        "shard_backend": (result.cluster.resolved_backend if shards
-                          else "serial"),
+        "events": events,
+        "events_per_sec": round(events / wall, 1),
         "sched_requests": int(result.metrics.counter("fm.requests")),
         "grants": int(result.metrics.counter("fm.grants")),
         "jobs_completed": result.jobs_completed,
@@ -254,7 +231,6 @@ def run_sweep_benchmark(racks: int, machines_per_rack: int, jobs: int,
         "duration_sim_s": duration,
         "host_cpu_count": timing["host_cpu_count"],
         "workers": timing["workers"],
-        "shards": 0,  # sweeps parallelise across runs, not inside one
         "serial_wall_seconds": round(serial.wall_seconds, 3),
         "parallel_wall_seconds": round(pooled.wall_seconds, 3),
         "speedup": round(speedup, 2),
@@ -306,13 +282,6 @@ def store(path: str, mode: str, label: str, result: dict) -> dict:
         if cur["wall_seconds"] > 0:
             entry["speedup"] = round(
                 base["wall_seconds"] / cur["wall_seconds"], 2)
-    if "current" in entry and "sharded" in entry:
-        serial, sharded = entry["current"], entry["sharded"]
-        if serial["events_per_sec"] > 0:
-            # throughput ratio, not wall: sharded legs may run a shape the
-            # serial leg records at a different duration
-            entry["shard_throughput_ratio"] = round(
-                sharded["events_per_sec"] / serial["events_per_sec"], 2)
     pathlib.Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True)
                                   + "\n", encoding="utf-8")
     return doc
@@ -362,13 +331,6 @@ def main(argv=None) -> int:
     mode = "custom" if custom else (
         "xxl" if args.xxl else
         "xl" if args.xl else ("quick" if args.quick else "full"))
-    if args.record == "sharded" and not args.shards:
-        print("--record sharded requires --shards N", file=sys.stderr)
-        return 2
-    if args.check and args.shards:
-        # committed wall-clock gates are serial-engine numbers
-        print("--check cannot be combined with --shards", file=sys.stderr)
-        return 2
 
     if args.sweep is not None:
         if args.sweep < 2:
@@ -410,8 +372,7 @@ def main(argv=None) -> int:
 
     result = run_benchmark(racks, machines_per_rack, jobs, duration,
                            args.seed, live_sample=args.live_sample,
-                           profile=args.profile, shards=args.shards,
-                           shard_backend=args.shard_backend)
+                           profile=args.profile)
     print(json.dumps(result, indent=2))
 
     claims = fig09_claims(result)

@@ -108,14 +108,6 @@ class RunSpec(ConfigBase):
         True, help="freeze the setup heap and defer GC to slice "
                    "boundaries (kills multi-hundred-ms collection pauses "
                    "inside timed scheduling sections)")
-    shards: int = conf(
-        0, help="split the agent plane across N event-loop domains and run "
-                "them in parallel inside this one simulation (0 = serial); "
-                "results are byte-identical to the serial engine", min=0)
-    shard_backend: str = conf(
-        "auto", help="shard execution backend: forked processes, inline "
-                     "(same-process reference), or auto-pick by CPU count",
-        choices=("auto", "process", "inline"))
     fault_spec: str = conf(
         "", help="semicolon-separated fault plan applied to the run, "
                  "kind@time[:machine][:key=value] tokens "
@@ -127,15 +119,6 @@ class RunSpec(ConfigBase):
         # Registry-backed, so third-party register_policy() extensions are
         # accepted and a typo fails with the list of registered names.
         validate_policy_name(self.policy)
-        if self.shards:
-            if self.shards > self.machines:
-                raise ValueError(f"shards={self.shards} exceeds the "
-                                 f"{self.machines}-machine cluster")
-            for knob in ("live_sample", "flight_recorder", "profile"):
-                if getattr(self, knob):
-                    raise ValueError(f"{knob} requires the serial engine "
-                                     f"(shards=0): it reads live cluster "
-                                     f"state the shard domains own")
         if self.fault_spec:
             from repro.cluster.faults import FaultPlan
             FaultPlan.from_spec(self.fault_spec)  # raises on junk
@@ -207,19 +190,13 @@ class RunResult:
         This is the payload the parallel sweep engine ships back from
         worker processes instead of the (unpicklable) live cluster.
         """
-        # Execution-shape knobs are dropped from the spec echo: a sharded
-        # run must produce the byte-identical summary to its serial oracle,
-        # and shards/backend change how the run executes, not what it is.
-        spec_dict = self.spec.to_dict()
-        spec_dict.pop("shards", None)
-        spec_dict.pop("shard_backend", None)
         summary = {
-            "spec": spec_dict,
+            "spec": self.spec.to_dict(),
             "seed": self.spec.seed,
             "jobs_submitted": len(self.submitted),
             "jobs_completed": self.jobs_completed,
             "sim_seconds": round(self.cluster.loop.now, 6),
-            "events": self.cluster.events_total,
+            "events": self.cluster.loop.events_executed,
             "sched_requests": int(self.metrics.counter("fm.requests")),
             "grants": int(self.metrics.counter("fm.grants")),
             # FNV-1a fold over every disseminated grant, per master: equal
@@ -308,8 +285,7 @@ class ClusterBuilder:
                  master_config: Optional[FuxiMasterConfig] = None,
                  agent_config: Optional[FuxiAgentConfig] = None,
                  app_master_config: Optional[AppMasterConfig] = None,
-                 policy: Optional[str] = None,
-                 shards: int = 0, shard_backend: str = "auto"):
+                 policy: Optional[str] = None):
         self._racks = racks
         self._machines_per_rack = machines_per_rack
         self._machine_cpu = machine_cpu
@@ -322,17 +298,8 @@ class ClusterBuilder:
         self._agent_config = agent_config
         self._app_master_config = app_master_config
         self._policy = validate_policy_name(policy) if policy else None
-        self._shards = shards
-        self._shard_backend = shard_backend
 
     # fluent setters ---------------------------------------------------- #
-
-    def shards(self, count: int, backend: str = "auto") -> "ClusterBuilder":
-        """Shard the agent plane across ``count`` event-loop domains
-        (0 restores the serial engine).  Byte-identical results either way."""
-        self._shards = count
-        self._shard_backend = backend
-        return self
 
     def topology(self, racks: int, machines_per_rack: int) -> "ClusterBuilder":
         self._racks = racks
@@ -400,8 +367,6 @@ class ClusterBuilder:
             "trace": self._trace,
             "standby_master": self._standby_master,
             "policy": self._policy,
-            "shards": self._shards,
-            "shard_backend": self._shard_backend,
         }
 
     @classmethod
@@ -422,18 +387,13 @@ class ClusterBuilder:
             master_config = master_config or FuxiMasterConfig()
             master_config.scheduler = master_config.scheduler.replace(
                 policy=self._policy)
-        kwargs = dict(seed=self._seed, network=self._network,
-                      master_config=master_config,
-                      agent_config=self._agent_config,
-                      app_master_config=self._app_master_config,
-                      standby_master=self._standby_master,
-                      trace=self._trace)
-        if self._shards:
-            from repro.shard import ShardedCluster
-            cluster = ShardedCluster(topology, shards=self._shards,
-                                     backend=self._shard_backend, **kwargs)
-        else:
-            cluster = FuxiCluster(topology, **kwargs)
+        cluster = FuxiCluster(topology, seed=self._seed,
+                              network=self._network,
+                              master_config=master_config,
+                              agent_config=self._agent_config,
+                              app_master_config=self._app_master_config,
+                              standby_master=self._standby_master,
+                              trace=self._trace)
         if warm_up:
             cluster.warm_up()
         return cluster
@@ -484,13 +444,10 @@ def simulate(spec: Optional[RunSpec] = None, *,
                               policy=(spec.policy
                                       if spec.policy != "fuxi" else None),
                               agent_config=FuxiAgentConfig(
-                                  worker_start_delay=spec.worker_start_delay),
-                              shards=spec.shards,
-                              shard_backend=spec.shard_backend)
+                                  worker_start_delay=spec.worker_start_delay))
                .build(warm_up=False))
-    # Fault plan before the sampler kick: shard domains replay the same
-    # construction order (agents, faults, sampler), so same-instant events
-    # tie-break identically to the serial heap.
+    # Fault plan before the sampler kick: events at the same instant run
+    # in scheduling order, and the committed digests depend on this one.
     if spec.fault_spec:
         from repro.cluster.faults import FaultPlan
         cluster.schedule_faults(FaultPlan.from_spec(spec.fault_spec))
@@ -578,9 +535,4 @@ def simulate(spec: Optional[RunSpec] = None, *,
                 "spec": spec.to_dict(),
             })
         raise
-    finally:
-        # Serial: no-op.  Sharded: absorb shard trace records and join the
-        # worker processes — also on the exception path, so a crashed run
-        # never leaks forked shards.
-        cluster.finalize()
     return result

@@ -226,25 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output HTML path (default: INPUT + .html)")
     report.add_argument("--title", default=None, help="report title")
 
-    shardcheck = sub.add_parser(
-        "shardcheck",
-        help="prove a sharded run reproduces the serial engine byte-for-"
-             "byte: same spec runs both ways, then grant streams, summary "
-             "digests and trace exports are compared")
-    add_config_args(shardcheck, RunSpec,
-                    only=("racks", "machines_per_rack", "concurrent_jobs",
-                          "duration", "workload_scale", "seed",
-                          "fault_spec"))
-    shardcheck.add_argument("--shards", type=int, default=2, metavar="N",
-                            help="shard count for the parallel leg "
-                                 "(default 2)")
-    shardcheck.add_argument("--backend", default="auto",
-                            choices=("auto", "process", "inline"),
-                            help="shard backend for the parallel leg")
-    shardcheck.add_argument("--quick", action="store_true",
-                            help="small fixed workload (2 racks x 5 "
-                                 "machines, 20 sim-s) for CI smoke")
-
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument("name", choices=EXPERIMENTS)
     experiment.add_argument("--trace-out", metavar="FILE", default=None,
@@ -678,59 +659,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shardcheck(args: argparse.Namespace) -> int:
-    """Byte-identity gate: one spec, run serial and sharded, diff the
-    deterministic artifacts.  Exit 0 only if grant streams, summary JSON
-    and trace exports all match exactly."""
-    import time
-
-    from repro.api import simulate
-    from repro.obs.export import dumps_trace
-
-    overrides = {}
-    if args.quick:
-        overrides.update(racks=2, machines_per_rack=5, concurrent_jobs=6,
-                         duration=20.0, workload_scale=20, workers_cap=4)
-    shards = max(args.shards, 1)
-    base = config_from_args(RunSpec, args, shards=0, trace=True, **overrides)
-
-    wall = time.perf_counter()
-    serial = simulate(base)
-    serial_wall = time.perf_counter() - wall
-    wall = time.perf_counter()
-    sharded = simulate(base.replace(shards=shards,
-                                    shard_backend=args.backend))
-    sharded_wall = time.perf_counter() - wall
-
-    serial_summary = serial.summary_dict()
-    sharded_summary = sharded.summary_dict()
-    checks = [
-        ("grant stream", json.dumps(serial_summary["grant_stream"]),
-         json.dumps(sharded_summary["grant_stream"])),
-        ("summary JSON", json.dumps(serial_summary, sort_keys=True),
-         json.dumps(sharded_summary, sort_keys=True)),
-        ("trace export", dumps_trace(serial.cluster.tracer),
-         dumps_trace(sharded.cluster.tracer)),
-    ]
-    rows = [[name, f"{len(a)} B",
-             "match" if a == b else "MISMATCH"] for name, a, b in checks]
-    rows.append(["events executed", serial_summary["events"],
-                 sharded_summary["events"]])
-    rows.append(["wall seconds",
-                 f"{serial_wall:.2f}", f"{sharded_wall:.2f}"])
-    print(format_table(
-        ["artifact", "serial", f"shards={shards} ({args.backend})"], rows,
-        title=f"shardcheck seed={base.seed} "
-              f"machines={base.machines} duration={base.duration:g}"))
-    failed = [name for name, a, b in checks if a != b]
-    if failed:
-        print(f"MISMATCH: {', '.join(failed)} — the sharded engine "
-              f"diverged from the serial oracle", file=sys.stderr)
-        return 1
-    print("byte-identical across engines")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a JSONL artifact as a static self-contained HTML report."""
     from repro.obs.report import write_report
@@ -805,7 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fuzz": cmd_fuzz,
         "sweep": cmd_sweep,
         "top": cmd_top,
-        "shardcheck": cmd_shardcheck,
         "report": cmd_report,
         "experiment": cmd_experiment,
     }

@@ -14,18 +14,17 @@ to ``"fuxi-master"`` and the elected primary points the alias at itself.
 Randomness is **edge-keyed**: every (sender, dest) pair owns an independent
 counter-indexed hash stream, so the drop/jitter/duplicate draws of the n-th
 message on an edge are a pure function of ``(seed, sender, dest, n)`` — not
-of how sends on *other* edges interleave with it.  This is what lets the
-sharded engine (:mod:`repro.shard`) compute delivery times on whichever
-process hosts the sender and still reproduce the serial run bit-for-bit:
-the serial engine consumes the exact same per-edge draws in the exact same
-per-edge order, merely from a single process.
+of how sends on *other* edges interleave with it.  A change that adds,
+removes or reorders traffic on one edge therefore leaves every other edge's
+delays alone: a replayed fault schedule and a fuzz-shrunk one (fewer faults,
+so different traffic) keep the timing of the edges they do not touch.
 
 Each edge additionally adds a fixed sub-microsecond epsilon (derived from
 the edge key, bounded by ``~1e-6`` simulated seconds) to every delivery
-delay.  Two messages travelling *different* edges therefore never arrive at
-exactly the same float timestamp, which removes the only case where the
-serial heap's global tie-break sequence could order cross-edge deliveries —
-an order a partitioned simulation cannot observe.
+delay.  Two messages sent at the same instant on *different* edges
+therefore arrive at the same float timestamp only if their edge keys share
+the low 22 bits, so their delivery order almost never falls back to the
+heap's global insertion sequence.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ class MessageBus:
 
     def _send_planned(self, sender: str, dest: str, message: Any) -> None:
         """The general send: drops, duplicates and reordering via
-        :meth:`plan_delays`, each delivery through :meth:`_route`."""
+        :meth:`plan_delays`."""
         self.messages_sent += 1
         delays = self.plan_delays(sender, dest)
         if delays is None:
@@ -200,13 +199,9 @@ class MessageBus:
             return
         if len(delays) > 1:
             self.messages_duplicated += 1
-        for delay in delays:
-            self._route(sender, dest, message, delay)
-
-    def _route(self, sender: str, dest: str, message: Any,
-               delay: float) -> None:
         loop = self.loop
-        loop.post(loop.now + delay, self._deliver, sender, dest, message)
+        for delay in delays:
+            loop.post(loop.now + delay, self._deliver, sender, dest, message)
 
     def _deliver(self, sender: str, dest: str, message: Any) -> None:
         actor = self._actors.get(self._aliases.get(dest, dest))

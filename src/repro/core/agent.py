@@ -170,8 +170,8 @@ class FuxiAgent(Actor):
             return
         state = self.machine_state
         spec = state.spec
-        # Fresh object per beat: heartbeats must be value snapshots so the
-        # sharded engine can pickle them across the process boundary.
+        # Fresh object per beat: the beat is delivered later, so it must be
+        # a value snapshot of the books at send time, not a live reference.
         # Capacity "can be changed at any time" (§3.2.1).
         self.send(self.config.master_address, msg.AgentHeartbeat(
             spec.name, spec.rack, spec.capacity, state.health_sample(),

@@ -85,10 +85,9 @@ class FuxiMaster(Actor):
                                     grace_seconds=self.config.health_grace)
         self.recovering = False
         self.failovers = 0
-        # Running FNV-1a fold over every disseminated grant, in send order.
-        # Scheduling runs only on the coordinator under sharding, so equal
-        # digests certify the sharded run issued the *identical* grant
-        # stream as the serial oracle (the PR 9 byte-identity gate).
+        # Running FNV-1a fold over every disseminated grant, in send order:
+        # equal digests certify two runs issued the *identical* grant
+        # stream, which is how refactors prove they kept behaviour.
         self.grant_stream_digest = 0xCBF29CE484222325
         self.grants_disseminated = 0
         # Last-beat time of each live agent, in insertion order.

@@ -137,9 +137,9 @@ class AgentHeartbeat:
     (version, digest) pair additionally certifies the books have not moved
     between beats.
 
-    Agents build a fresh heartbeat per beat: the sharded engine pickles
-    in-flight messages across a process boundary, so a heartbeat must be a
-    value snapshot at send time, not a reference into mutable agent state.
+    Agents build a fresh heartbeat per beat: delivery is delayed by the
+    transport, so a heartbeat must be a value snapshot at send time, not a
+    reference into agent state that may change while it is in flight.
     """
 
     machine: str
@@ -199,9 +199,9 @@ class AppMasterSpawn:
     """Agent -> cluster services: instantiate the app-master actor.
 
     In the real system the agent forks the AM process locally; in the
-    simulation the AM actor object must live where the scheduler lives
-    (the coordinator, under sharding), so the agent asks the cluster's
-    service actor to construct it instead of reaching into the runtime.
+    simulation the agent asks the cluster's service actor to construct the
+    AM actor instead of reaching into the runtime, so the request travels
+    the transport like every other agent action.
     """
 
     app_id: str

@@ -134,10 +134,9 @@ class EventLoop:
 
         A ``phantom`` event executes in time/seq order like any other but
         is *invisible to accounting*: it does not bump
-        :attr:`events_executed` and skips the hooks.  The sharded engine
-        uses phantoms for bookkeeping ticks that the serial oracle runs as
-        part of another event, and the heartbeat pacer uses one per cohort
-        while counting each beat itself (see :meth:`execute`).
+        :attr:`events_executed` and skips the hooks.  The heartbeat pacer
+        uses one per cohort and counts each beat in it through
+        :meth:`execute` instead.
         """
         if when < self._now:
             raise SimulationError(
@@ -148,13 +147,12 @@ class EventLoop:
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
-    def call_after(self, delay: float, callback: Callable[..., Any], *args: Any,
-                   phantom: bool = False) -> Event:
+    def call_after(self, delay: float, callback: Callable[..., Any],
+                   *args: Any) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback, *args,
-                            phantom=phantom)
+        return self.call_at(self._now + delay, callback, *args)
 
     def post(self, when: float, callback: Callable[..., Any],
              *args: Any) -> None:

@@ -154,10 +154,6 @@ def test_summary_dict_is_deterministic_and_json_able():
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
     assert first["seed"] == 7
-    # execution-shape knobs are dropped so sharded/serial summaries compare
-    expected_spec = spec.to_dict()
-    expected_spec.pop("shards")
-    expected_spec.pop("shard_backend")
-    assert first["spec"] == expected_spec
+    assert first["spec"] == spec.to_dict()
     assert first["jobs_submitted"] > 0
     assert first["events"] > 0

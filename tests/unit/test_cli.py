@@ -410,21 +410,3 @@ def test_fuzz_replay_without_corpus_exits_two(capsys):
     code = main(["fuzz", "--replay", "0"])
     assert code == 2
     assert "--replay needs --corpus" in capsys.readouterr().err
-
-
-def test_shardcheck_quick_reports_identity(capsys):
-    code = main(["shardcheck", "--quick", "--shards", "2",
-                 "--backend", "inline"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "byte-identical across engines" in out
-    assert "grant stream" in out
-
-
-def test_shardcheck_quick_with_fault_plan(capsys):
-    code = main(["shardcheck", "--quick", "--shards", "3",
-                 "--backend", "inline",
-                 "--faults", "NodeDown@8:r00m001"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "byte-identical across engines" in out

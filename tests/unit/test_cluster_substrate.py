@@ -132,6 +132,71 @@ def test_unknown_destination_counted_as_dropped():
     assert bus.messages_dropped == 1
 
 
+#: every pathology on at once, with probabilities that exercise each branch
+LOSSY = dict(drop_prob=0.2, duplicate_prob=0.3, reorder_prob=0.4,
+             jitter=0.002, reorder_jitter=0.01)
+
+
+def test_edge_delays_ignore_traffic_on_other_edges():
+    alone = MessageBus(EventLoop(), SplitRandom(5), NetworkConfig(**LOSSY))
+    mixed = MessageBus(EventLoop(), SplitRandom(5), NetworkConfig(**LOSSY))
+    expected = [alone.plan_delays("a", "b") for _ in range(200)]
+    seen = []
+    for n in range(200):
+        for k in range(n % 4):
+            mixed.plan_delays("a", f"other-{k}")
+            mixed.plan_delays(f"other-{k}", "b")
+            mixed.plan_delays("b", "a")
+        seen.append(mixed.plan_delays("a", "b"))
+    assert seen == expected
+    # the lossy config really took every branch
+    assert None in expected
+    assert any(d is not None and len(d) == 2 for d in expected)
+
+
+def test_different_edges_do_not_tie_on_delivery_time():
+    loop = EventLoop()
+    loop.run_until(123.456)
+    bus = MessageBus(loop, SplitRandom(9),
+                     NetworkConfig(jitter=0.0, reorder_prob=0.0))
+    names = [f"agent:r{r:02d}m{m:03d}" for r in range(5) for m in range(40)]
+    names += ["fuxi-master-0", "fuxi-master-1", "cluster-svc"]
+    arrivals = {}
+    for sender in names:
+        for dest in ("fuxi-master-0", "fuxi-master-1", names[7]):
+            if sender != dest:
+                (delay,) = bus.plan_delays(sender, dest)
+                arrivals[(sender, dest)] = loop.now + delay
+    assert len(set(arrivals.values())) == len(arrivals)
+
+
+@pytest.mark.parametrize("config", [NetworkConfig(),
+                                    NetworkConfig(jitter=0.0)])
+def test_inlined_send_matches_plan_delays(config):
+    """The default-transport fast path in ``send`` consumes the edge's
+    counter slot and jitter draw exactly as ``plan_delays`` does."""
+    loop = EventLoop()
+    bus = MessageBus(loop, SplitRandom(3), config)
+    Sink(loop, "b", bus)
+    Sink(loop, "c", bus)
+    planner = MessageBus(EventLoop(), SplitRandom(3),
+                         NetworkConfig(**vars(config)))
+    arrivals = []
+    bus._deliver = lambda sender, dest, message: arrivals.append(
+        (loop.now, sender, dest, message))
+    expected = []
+    for n in range(50):
+        dest = "b" if n % 3 else "c"
+        bus.send("a", dest, n)
+        (delay,) = planner.plan_delays("a", dest)
+        expected.append((loop.now + delay, "a", dest, n))
+        loop.run_until(loop.now + 0.0007)
+    loop.run()
+    assert sorted(arrivals) == sorted(expected)
+    assert bus._edges[("a", "b")][2] == planner._edges[("a", "b")][2]
+    assert bus._edges[("a", "c")][2] == planner._edges[("a", "c")][2]
+
+
 # ------------------------------ lock service ------------------------- #
 
 def test_lock_mutual_exclusion():
