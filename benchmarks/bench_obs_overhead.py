@@ -29,8 +29,7 @@ import time
 
 import pytest
 
-from repro.obs.histogram import MetricsRegistry
-from repro.obs.hooks import attach_loop_metrics
+from repro.obs.metrics import MetricsRegistry, attach_loop_metrics
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.events import EventLoop

@@ -36,8 +36,7 @@ from repro.core.resources import CPU, MEMORY
 from repro.jobs.jobmaster import DagJobMaster, JobResult
 from repro.jobs.spec import JobSpec
 from repro.jobs.worker import TaskWorker
-from repro.obs.histogram import MetricsRegistry
-from repro.obs.hooks import attach_loop_metrics
+from repro.obs.metrics import MetricsRegistry, attach_loop_metrics
 from repro.obs.live import ClusterSampler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -455,13 +454,10 @@ class FuxiCluster:
         row["jobs_finished"] = float(len(self.job_results))
         return row
 
-    def enable_live_sampler(self, interval: float = 5.0,
-                            capacity: Optional[int] = None) -> ClusterSampler:
+    def enable_live_sampler(self, interval: float = 5.0) -> ClusterSampler:
         """Attach (or return the already-attached) cluster snapshot sampler."""
         if self.sampler is None:
-            kwargs = {} if capacity is None else {"capacity": capacity}
-            self.sampler = ClusterSampler(self, interval=interval,
-                                          **kwargs).attach()
+            self.sampler = ClusterSampler(self, interval=interval).attach()
         return self.sampler
 
     def enable_flight_recorder(self,
@@ -481,7 +477,7 @@ class FuxiCluster:
         return self.profiler
 
     def enable_utilization_sampling(self, interval: float = 5.0) -> None:
-        """Record the Figure-10 curves into the metrics collector."""
+        """Record the Figure-10 curves into the metrics registry."""
 
         def sample() -> None:
             now = self.loop.now

@@ -42,6 +42,7 @@ from repro.core.policy import validate_policy_name
 from repro.core.resources import ResourceVector
 from repro.core.scheduler import SchedulerConfig
 from repro.jobs.dag import critical_path_length
+from repro.obs.metrics import percentile
 from repro.sim.gctune import collect_young, deferred_gc
 from repro.workloads.synthetic import (MIXES, SyntheticWorkload,
                                        SyntheticWorkloadConfig,
@@ -234,8 +235,8 @@ class RunResult:
             summary["job_slowdown"] = {
                 "count": len(ordered),
                 "mean": round(sum(ordered) / len(ordered), 6),
-                "p50": round(_percentile(ordered, 50.0), 6),
-                "p95": round(_percentile(ordered, 95.0), 6),
+                "p50": round(percentile(ordered, 50.0), 6),
+                "p95": round(percentile(ordered, 95.0), 6),
                 "max": round(ordered[-1], 6),
             }
         utilization: Dict[str, float] = {}
@@ -252,19 +253,6 @@ class RunResult:
             # stay a pure function of (spec, seed)
             summary["timeseries"] = store.to_dict()
         return summary
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Linear-interpolated percentile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 class ClusterBuilder:

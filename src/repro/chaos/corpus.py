@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.obs.export import dump_jsonl
+
 SCHEMA = 1
 KIND = "chaos-corpus"
 
@@ -168,13 +170,8 @@ class Corpus:
             "kind": KIND, "schema": SCHEMA, "entries": len(self._entries),
             "context": dict(context or {}),
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(entry.to_dict(), sort_keys=True,
-                       separators=(",", ":"))
-            for entry in self._entries.values())
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        dump_jsonl(self.path, [header, *(entry.to_dict()
+                                         for entry in self._entries.values())])
         return self.path
 
     @classmethod

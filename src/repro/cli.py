@@ -47,7 +47,7 @@ from typing import List, Optional
 
 from repro.api import ClusterBuilder, FuxiCluster, RunSpec
 from repro.chaos.engine import ChaosConfig
-from repro.cluster.metrics import format_table
+from repro.obs.metrics import format_table
 from repro.config import ConfigBase, add_config_args, conf, config_from_args
 from repro.core.policy import validate_policy_name
 from repro.jobs.spec import parse_job_description
@@ -334,10 +334,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _summarize_trace_file(path: str, top: int) -> int:
-    from repro.obs.export import load_trace_jsonl
+    from repro.obs.export import load_jsonl
     from repro.obs.summary import render_summary, summarize_trace
     try:
-        records = load_trace_jsonl(path)
+        records = load_jsonl(path)
     except (OSError, ValueError) as exc:
         print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.lockservice import LockService
-from repro.cluster.metrics import MetricsCollector
 from repro.core import messages as msg
 from repro.core.blacklist import BlacklistConfig, ClusterBlacklist
 from repro.core.checkpoint import CheckpointStore
@@ -36,6 +35,7 @@ from repro.core.quota import DEFAULT_GROUP, QuotaGroup
 from repro.core.request import WaitingDemand
 from repro.core.scheduler import FuxiScheduler, SchedulerConfig
 from repro.core.units import UnitKey
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.actor import Actor
 from repro.sim.events import EventLoop
@@ -66,14 +66,14 @@ class FuxiMaster(Actor):
     def __init__(self, loop: EventLoop, bus, name: str,
                  locks: LockService, checkpoint: CheckpointStore,
                  config: Optional[FuxiMasterConfig] = None,
-                 metrics: Optional[MetricsCollector] = None,
+                 metrics: Optional[MetricsRegistry] = None,
                  runtime: Optional[Any] = None,
                  tracer: Optional[Any] = None):
         super().__init__(loop, name, bus)
         self.config = config or FuxiMasterConfig()
         self.locks = locks
         self.checkpoint = checkpoint
-        self.metrics = metrics or MetricsCollector()
+        self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._failover_span = None
         self.runtime = runtime

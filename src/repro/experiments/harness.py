@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cluster.metrics import format_table
+from repro.obs.metrics import format_table
 
 
 @dataclass

@@ -1,20 +1,18 @@
-"""Observability layer: structured tracing, histograms, and exporters.
+"""Observability layer: metrics, structured tracing and exporters.
 
 The simulator's evaluation claims are all observations of internal
 behaviour (per-request scheduling latency, failover timelines, utilization
 curves).  This package provides the instruments:
 
+- :mod:`repro.obs.metrics` — counters, time series, the log-bucket
+  :class:`Histogram`, the :class:`MetricsRegistry` every component
+  records into, and event-loop sampling (:func:`attach_loop_metrics`);
 - :mod:`repro.obs.tracer` — spans and one-shot events keyed on *simulated*
   time, with a zero-overhead :class:`NullTracer` for the tracing-off path;
-- :mod:`repro.obs.histogram` — fixed-bucket and HDR-style log-bucket
-  histograms, plus the :class:`MetricsRegistry` that subsumes the plain
-  :class:`~repro.cluster.metrics.MetricsCollector`;
-- :mod:`repro.obs.export` — deterministic JSONL trace export and a
-  Prometheus-text-format metrics dump;
+- :mod:`repro.obs.export` — the one JSONL codec every artifact is written
+  and read with, trace export and a Prometheus-text-format metrics dump;
 - :mod:`repro.obs.summary` — trace summarisation for the CLI (top spans,
   failover timelines, per-locality-level decision counts);
-- :mod:`repro.obs.hooks` — event-loop instrumentation (callback wall-time
-  sampling, queue depth) feeding the registry;
 - :mod:`repro.obs.live` — the streaming plane: periodic cluster snapshot
   sampler, ring-buffered :class:`TimeSeriesStore`, per-subsystem
   profiling attribution;
@@ -28,13 +26,12 @@ ids are sequence numbers, timestamps are simulated seconds, and attribute
 values are counts — never wall-clock readings.
 """
 
-from repro.obs.export import (dump_trace_jsonl, dumps_trace, load_trace_jsonl,
-                              prometheus_text, trace_records)
-from repro.obs.histogram import (FixedBucketHistogram, Histogram,
-                                 LogBucketHistogram, MetricsRegistry)
-from repro.obs.hooks import attach_loop_metrics
+from repro.obs.export import (dump_jsonl, dump_trace_jsonl, dumps_trace,
+                              load_jsonl, prometheus_text)
 from repro.obs.live import (ClusterSampler, SubsystemProfiler,
                             TimeSeriesStore, classify_callback)
+from repro.obs.metrics import (Histogram, MetricsRegistry, Series,
+                               attach_loop_metrics)
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import load_any, render_html, write_report
 from repro.obs.summary import render_summary, summarize_trace
@@ -42,12 +39,10 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TraceEvent, Tracer
 
 __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "Span", "TraceEvent",
-    "Histogram", "FixedBucketHistogram", "LogBucketHistogram",
-    "MetricsRegistry",
-    "trace_records", "dumps_trace", "dump_trace_jsonl", "load_trace_jsonl",
+    "Histogram", "MetricsRegistry", "Series", "attach_loop_metrics",
+    "dump_jsonl", "load_jsonl", "dumps_trace", "dump_trace_jsonl",
     "prometheus_text",
     "summarize_trace", "render_summary",
-    "attach_loop_metrics",
     "TimeSeriesStore", "ClusterSampler", "SubsystemProfiler",
     "classify_callback", "FlightRecorder",
     "load_any", "render_html", "write_report",

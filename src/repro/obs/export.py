@@ -1,50 +1,70 @@
-"""Deterministic exporters: JSONL traces and Prometheus-text metrics.
+"""Deterministic exporters: the JSONL codec, traces and Prometheus text.
 
-Both formats are stable for a fixed seed: records are emitted in creation
-order, JSON keys are sorted, and every number is either a simulated
-timestamp or a count.  Running the same seeded simulation twice must yield
-byte-identical exports — the integration tests assert exactly that.
+Every JSONL artifact the simulator writes — obs traces, violation traces,
+timeseries feeds, flight dumps and the chaos corpus — goes through
+:func:`dump_jsonl`: records in the given order, JSON keys sorted, compact
+separators.  Every number is either a simulated timestamp or a count, so
+running the same seeded simulation twice yields byte-identical exports —
+the integration tests assert exactly that.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import IO, List, Union
+from typing import IO, Iterable, List, Union
 
-from repro.cluster.metrics import MetricsCollector
-from repro.obs.histogram import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
-PathOrFile = Union[str, "object"]
+PathOrFile = Union[str, "IO[str]"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+# --------------------------------------------------------------------- #
+# the JSONL codec
+# --------------------------------------------------------------------- #
+
+def dumps_jsonl(records: Iterable[dict]) -> str:
+    """Records as JSONL text: one line each, sorted keys, compact."""
+    lines = [json.dumps(record, sort_keys=True, separators=(",", ":"))
+             for record in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def dump_jsonl(target: PathOrFile, records: Iterable[dict]) -> int:
+    """Write records to a path or file object; returns the line count."""
+    text = dumps_jsonl(records)
+    if hasattr(target, "write"):
+        target.write(text)  # type: ignore[union-attr]
+    else:
+        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
+            handle.write(text)
+    return text.count("\n")
+
+
+def load_jsonl(source: PathOrFile) -> List[dict]:
+    """Read JSONL from a path or file object; blank lines are skipped."""
+    if hasattr(source, "read"):
+        text = source.read()  # type: ignore[union-attr]
+    else:
+        with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
+            text = handle.read()
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 # --------------------------------------------------------------------- #
 # traces
 # --------------------------------------------------------------------- #
 
-def trace_records(tracer) -> List[dict]:
-    """Spans and events of a tracer as serializable dicts, in id order."""
-    return tracer.records()
-
-
 def dumps_trace(tracer) -> str:
-    """The whole trace as JSONL text (sorted keys, compact separators)."""
-    lines = [json.dumps(record, sort_keys=True, separators=(",", ":"))
-             for record in trace_records(tracer)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The whole trace as JSONL text, spans and events in id order."""
+    return dumps_jsonl(tracer.records())
 
 
 def dump_trace_jsonl(tracer, target: PathOrFile) -> int:
     """Write the trace to a path or file object; returns the record count."""
-    text = dumps_trace(tracer)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            handle.write(text)
-    return len(text.splitlines())
+    return dump_jsonl(target, tracer.records())
 
 
 def dump_violation_trace(tracer, target: PathOrFile, context: dict) -> int:
@@ -56,25 +76,8 @@ def dump_violation_trace(tracer, target: PathOrFile, context: dict) -> int:
     evidence and the repro recipe travel in one file.  Returns the record
     count including the header.
     """
-    header = json.dumps({"kind": "violation", **context},
-                        sort_keys=True, separators=(",", ":"))
-    text = header + "\n" + dumps_trace(tracer)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            handle.write(text)
-    return len(text.splitlines())
-
-
-def load_trace_jsonl(source: PathOrFile) -> List[dict]:
-    """Read a JSONL trace back into a list of record dicts."""
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-            text = handle.read()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return dump_jsonl(target, [{"kind": "violation", **context},
+                               *tracer.records()])
 
 
 # --------------------------------------------------------------------- #
@@ -99,13 +102,13 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(metrics: MetricsCollector) -> str:
-    """Dump a collector/registry in the Prometheus exposition format.
+def prometheus_text(metrics: MetricsRegistry) -> str:
+    """Dump a registry in the Prometheus exposition format.
 
     - counters → ``counter`` samples;
     - series → ``summary``-flavoured gauges (count / mean / p50 / p95 /
       p99 / max over the recorded points);
-    - histograms (registry only) → native ``histogram`` with cumulative
+    - histograms → native ``histogram`` with cumulative
       ``_bucket`` lines plus ``_sum`` and ``_count``.
     """
     lines: List[str] = []
@@ -123,15 +126,13 @@ def prometheus_text(metrics: MetricsCollector) -> str:
         lines.append(f'{metric}{{stat="p95"}} {_fmt(series.percentile(95))}')
         lines.append(f'{metric}{{stat="p99"}} {_fmt(series.percentile(99))}')
         lines.append(f'{metric}{{stat="max"}} {_fmt(series.max())}')
-    if isinstance(metrics, MetricsRegistry):
-        for name in metrics.histogram_names():
-            histogram = metrics.histograms()[name]
-            metric = _metric_name(name)
-            lines.append(f"# TYPE {metric} histogram")
-            for upper, cumulative in histogram.cumulative_buckets():
-                lines.append(
-                    f'{metric}_bucket{{le="{_fmt(upper)}"}} {cumulative}')
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
-            lines.append(f"{metric}_sum {_fmt(histogram.sum)}")
-            lines.append(f"{metric}_count {histogram.count}")
+    for name in metrics.histogram_names():
+        histogram = metrics.histogram(name)
+        metric = _metric_name(name)
+        lines.append(f"# TYPE {metric} histogram")
+        for upper, cumulative in histogram.cumulative_buckets():
+            lines.append(f'{metric}_bucket{{le="{_fmt(upper)}"}} {cumulative}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
+        lines.append(f"{metric}_sum {_fmt(histogram.sum)}")
+        lines.append(f"{metric}_count {histogram.count}")
     return "\n".join(lines) + ("\n" if lines else "")

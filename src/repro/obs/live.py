@@ -19,21 +19,20 @@ Three pieces:
   ScheduleUnit queue depth by locality tier, heartbeat staleness,
   blacklist size, job progress, event-loop rates.
 - :class:`SubsystemProfiler` — rides the sampled event-loop hooks and
-  attributes wall time and event counts to the subsystem that owns each
-  callback (master/agent/jobmaster/worker/network), the breakdown
+  attributes wall time and event counts to the subsystem that did each
+  event's work (master/agent/jobmaster/worker/runtime/network; a message
+  delivery is booked to its receiving actor), the breakdown
   ``bench_scale_5000.py --profile`` surfaces in ``BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time as _time
 from collections import deque
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
+from repro.obs.export import PathOrFile, dump_jsonl, dumps_jsonl, load_jsonl
 from repro.sim.events import EventLoop
-
-PathOrFile = Union[str, "IO[str]"]
 
 SCHEMA = 1
 
@@ -78,19 +77,6 @@ class TimeSeriesStore:
     def latest(self) -> Optional[dict]:
         return dict(self._rows[-1]) if self._rows else None
 
-    def series(self, column: str,
-               time_column: str = "time") -> List[Tuple[float, float]]:
-        """``(time, value)`` pairs of one column (rows missing it skipped)."""
-        return [(row[time_column], row[column]) for row in self._rows
-                if column in row and time_column in row]
-
-    def columns(self) -> List[str]:
-        """Sorted union of every column name seen across the rows."""
-        names: set = set()
-        for row in self._rows:
-            names.update(row)
-        return sorted(names)
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -120,45 +106,32 @@ class TimeSeriesStore:
         store.dropped = int(data.get("dropped", 0))
         return store
 
-    def to_jsonl(self, include_wall: bool = False) -> str:
-        """Header line + one row per line (sorted keys, compact separators).
-
-        Byte-identical for a fixed seed when ``include_wall`` is False —
-        the integration tests pin exactly that.
-        """
+    def _records(self, include_wall: bool) -> List[dict]:
+        """Header record (``rows`` holds the row count) + one per row."""
         doc = self.to_dict(include_wall=include_wall)
         rows = doc.pop("rows")
         doc["rows"] = len(rows)
-        lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))]
-        lines.extend(json.dumps(row, sort_keys=True, separators=(",", ":"))
-                     for row in rows)
-        return "\n".join(lines) + "\n"
+        return [doc, *rows]
+
+    def to_jsonl(self, include_wall: bool = False) -> str:
+        """Header line + one row per line; byte-identical for a fixed seed
+        when ``include_wall`` is False — the integration tests pin that."""
+        return dumps_jsonl(self._records(include_wall))
 
     def dump_jsonl(self, target: PathOrFile,
                    include_wall: bool = False) -> int:
         """Write the store to a path or file object; returns the row count."""
-        text = self.to_jsonl(include_wall=include_wall)
-        if hasattr(target, "write"):
-            target.write(text)  # type: ignore[union-attr]
-        else:
-            with open(target, "w", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                handle.write(text)
-        return len(self._rows)
+        return dump_jsonl(target, self._records(include_wall)) - 1
 
     @classmethod
     def from_jsonl(cls, source: PathOrFile) -> "TimeSeriesStore":
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            with open(source, "r", encoding="utf-8") as handle:  # type: ignore[arg-type]
-                text = handle.read()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        records = load_jsonl(source)
+        if not records:
             return cls()
-        header = json.loads(lines[0])
+        header = records[0]
         if header.get("kind") != "timeseries":
             raise ValueError("not a timeseries JSONL (missing header line)")
-        header["rows"] = [json.loads(line) for line in lines[1:]]
+        header["rows"] = records[1:]
         return cls.from_dict(header)
 
     # ----------------------------- merging ---------------------------- #
@@ -211,14 +184,13 @@ class ClusterSampler:
     """
 
     def __init__(self, cluster, interval: float = 5.0,
-                 capacity: int = DEFAULT_CAPACITY,
-                 store: Optional[TimeSeriesStore] = None):
+                 capacity: int = DEFAULT_CAPACITY):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.cluster = cluster
         self.interval = float(interval)
-        self.store = store if store is not None else TimeSeriesStore(capacity)
-        self.store.meta.setdefault("interval", self.interval)
+        self.store = TimeSeriesStore(capacity,
+                                     meta={"interval": self.interval})
         self._timer = None
         self._last_sim: Optional[float] = None
         self._last_events = 0
@@ -274,8 +246,9 @@ class ClusterSampler:
 # profiling attribution
 # --------------------------------------------------------------------- #
 
-#: callback module → subsystem.  The scheduler runs synchronously inside
-#: master callbacks, so ``master`` covers §3 scheduling work as well.
+#: callback or actor module → subsystem.  The scheduler runs synchronously
+#: inside master callbacks, so ``master`` covers §3 scheduling work as well;
+#: ``runtime`` is the cluster-svc actor and the utilization sampler.
 _SUBSYSTEM_BY_MODULE: Dict[str, str] = {
     "repro.core.master": "master",
     "repro.core.agent": "agent",
@@ -289,6 +262,7 @@ _SUBSYSTEM_BY_MODULE: Dict[str, str] = {
     "repro.cluster.lockservice": "locks",
     "repro.cluster.faults": "faults",
     "repro.obs.live": "sampler",
+    "repro._runtime": "runtime",
 }
 
 
@@ -307,16 +281,17 @@ def unwrap_callback(callback, _depth: int = 4):
     return callback
 
 
-def classify_callback(callback) -> str:
-    """The subsystem owning a scheduled callback, by defining module."""
-    callback = unwrap_callback(callback)
-    module = getattr(callback, "__module__", None) or ""
+def _subsystem(module: str) -> str:
     subsystem = _SUBSYSTEM_BY_MODULE.get(module)
     if subsystem is not None:
         return subsystem
-    if module.startswith("repro.jobs"):
-        return "jobmaster"
-    return "other"
+    return "jobmaster" if module.startswith("repro.jobs") else "other"
+
+
+def classify_callback(callback) -> str:
+    """The subsystem owning a scheduled callback, by defining module."""
+    callback = unwrap_callback(callback)
+    return _subsystem(getattr(callback, "__module__", None) or "")
 
 
 class SubsystemProfiler:
@@ -324,9 +299,12 @@ class SubsystemProfiler:
 
     Rides the existing sampled loop hooks: every ``sample_every``-th
     executed event is timed by the loop and booked against the subsystem
-    of its callback.  Sampled event *counts* are deterministic for a
-    fixed seed (sampling follows the execution count); the wall shares
-    are the measurement.
+    of its callback.  Every message handler runs inside
+    ``MessageBus._deliver``, so a delivery is booked to the receiving
+    actor (alias resolved); only a delivery the bus drops, to an unknown
+    or dead actor, is booked to ``network``.  Sampled event *counts* are
+    deterministic for a fixed seed (sampling follows the execution
+    count); the wall shares are the measurement.
     """
 
     def __init__(self) -> None:
@@ -349,7 +327,13 @@ class SubsystemProfiler:
             self._handle = None
 
     def _hook(self, loop: EventLoop, event, wall_seconds: float) -> None:
-        subsystem = classify_callback(event.callback)
+        callback = event.callback
+        if getattr(callback, "__qualname__", None) == "MessageBus._deliver":
+            actor = callback.__self__.actor(event.args[1])
+            subsystem = ("network" if actor is None or not actor.alive
+                         else _subsystem(type(actor).__module__))
+        else:
+            subsystem = classify_callback(callback)
         self.events[subsystem] = self.events.get(subsystem, 0) + 1
         self.wall[subsystem] = self.wall.get(subsystem, 0.0) + wall_seconds
 

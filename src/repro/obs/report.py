@@ -23,6 +23,7 @@ import html
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import load_jsonl
 from repro.obs.summary import render_summary, summarize_trace
 
 #: line colors cycled across series in one chart
@@ -57,11 +58,9 @@ def load_any(path: str) -> dict:
     and flight dumps are identified by their header line; anything else
     parseable as JSONL is treated as an obs trace.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not lines:
+    records = load_jsonl(path)
+    if not records:
         raise ValueError(f"{path}: empty file")
-    records = [json.loads(line) for line in lines]
     head = records[0]
     kind = head.get("kind") if isinstance(head, dict) else None
     if kind == "timeseries":

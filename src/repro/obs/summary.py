@@ -1,8 +1,8 @@
 """Trace summarisation for the ``fuxi-sim trace`` CLI.
 
-Works on the plain record dicts produced by :func:`repro.obs.export.
-trace_records` / :func:`~repro.obs.export.load_trace_jsonl`, so it can
-summarize a live tracer or a file equally.
+Works on the plain record dicts of ``Tracer.records()`` or
+:func:`~repro.obs.export.load_jsonl`, so it can summarize a live tracer or
+a file equally.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.metrics import format_table
+from repro.obs.metrics import format_table
 
 #: locality-level attribute keys written by the scheduler's decision spans
 LOCALITY_LEVELS = ("machine", "rack", "cluster")

@@ -22,8 +22,7 @@ when cancelled entries outnumber live ones, so long-running simulations
 with heavy timer churn stay bounded in memory.
 
 For observability the loop supports per-event hooks (see
-:meth:`EventLoop.add_hook` and the legacy single-hook
-:meth:`EventLoop.set_hook`): every ``sample_every``-th executed event is
+:meth:`EventLoop.add_hook`): every ``sample_every``-th executed event is
 timed with the wall clock and reported together with the loop state.
 Multiple hooks with independent sampling intervals can coexist — the obs
 layer samples wall time while the chaos harness checks invariants — and
@@ -120,7 +119,7 @@ class EventLoop:
         # cancelled entries still in the heap: pending() is O(1) and
         # compaction knows when the heap is mostly garbage
         self._cancelled = 0
-        # optional instrumentation (see add_hook / set_hook)
+        # optional instrumentation (see add_hook)
         self._hooks: List[LoopHook] = []
 
     @property
@@ -218,17 +217,6 @@ class EventLoop:
             self._hooks.remove(handle)
         except ValueError:
             pass
-
-    def set_hook(self, hook: Callable[["EventLoop", Event, float], None],
-                 sample_every: int = 1) -> None:
-        """Replace every installed hook with this single one (legacy API)."""
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self._hooks = [LoopHook(hook, int(sample_every))]
-
-    def clear_hook(self) -> None:
-        """Remove all per-event hooks (back to the zero-overhead path)."""
-        self._hooks = []
 
     def _run_hooked(self, callback: Callable[..., Any], args: tuple,
                     seq: int, event: Optional[Event]) -> None:

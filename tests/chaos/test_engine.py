@@ -5,7 +5,7 @@ import os
 from repro.chaos import ChaosConfig, run_chaos, run_with_schedule
 from repro.chaos.engine import build_cluster, build_schedule
 from repro.cluster.faults import FaultPlan
-from repro.obs.export import load_trace_jsonl
+from repro.obs.export import load_jsonl
 
 FAST = ChaosConfig(trace=False)
 
@@ -79,7 +79,7 @@ def test_violation_stops_the_run_and_dumps_trace(tmp_path, monkeypatch):
     # the loop stopped at the violation, not at the timeout
     assert result.sim_time < config.timeout
     assert result.trace_path and os.path.exists(result.trace_path)
-    records = load_trace_jsonl(result.trace_path)
+    records = load_jsonl(result.trace_path)
     header = records[0]
     assert header["kind"] == "violation"
     assert header["invariant"] == "resource-conservation"

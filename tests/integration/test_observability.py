@@ -6,7 +6,7 @@ JSONL export is byte-identical for identical seeded runs, and tracing off
 leaves no telemetry behind.
 """
 
-from repro.obs.export import dumps_trace, load_trace_jsonl
+from repro.obs.export import dumps_trace, load_jsonl
 from repro.obs.summary import summarize_trace
 from repro.obs.tracer import NullTracer, Tracer
 from repro.workloads.synthetic import mapreduce_job
@@ -130,7 +130,7 @@ def test_jsonl_export_byte_identical_across_same_seed_runs(tmp_path):
 
     path = tmp_path / "trace.jsonl"
     path.write_text(first, encoding="utf-8")
-    records = load_trace_jsonl(str(path))
+    records = load_jsonl(str(path))
     assert records and records[0]["id"] == 1
 
 

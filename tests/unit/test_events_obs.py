@@ -72,7 +72,7 @@ def test_execution_correct_across_compaction():
 def test_hook_sees_every_event_by_default():
     loop = EventLoop()
     sampled = []
-    loop.set_hook(lambda lp, event, wall: sampled.append(event.time))
+    loop.add_hook(lambda lp, event, wall: sampled.append(event.time))
     for i in range(5):
         loop.call_after(float(i), lambda: None)
     loop.run()
@@ -82,7 +82,7 @@ def test_hook_sees_every_event_by_default():
 def test_hook_sampling_every_nth():
     loop = EventLoop()
     sampled = []
-    loop.set_hook(lambda lp, event, wall: sampled.append(loop.events_executed),
+    loop.add_hook(lambda lp, event, wall: sampled.append(loop.events_executed),
                   sample_every=3)
     for i in range(10):
         loop.call_after(float(i), lambda: None)
@@ -93,28 +93,24 @@ def test_hook_sampling_every_nth():
 def test_hook_wall_time_is_nonnegative():
     loop = EventLoop()
     walls = []
-    loop.set_hook(lambda lp, event, wall: walls.append(wall))
+    loop.add_hook(lambda lp, event, wall: walls.append(wall))
     loop.call_after(1.0, lambda: sum(range(1000)))
     loop.run()
     assert len(walls) == 1
     assert walls[0] >= 0.0
 
 
-def test_clear_hook_restores_fast_path():
+def test_remove_hook_restores_fast_path():
     loop = EventLoop()
     sampled = []
-    loop.set_hook(lambda lp, event, wall: sampled.append(1))
+    handle = loop.add_hook(lambda lp, event, wall: sampled.append(1))
     loop.call_after(1.0, lambda: None)
     loop.run()
-    loop.clear_hook()
+    loop.remove_hook(handle)
+    assert not loop._hooks
     loop.call_after(1.0, lambda: None)
     loop.run()
     assert sampled == [1]
-
-
-def test_set_hook_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        EventLoop().set_hook(lambda lp, e, w: None, sample_every=0)
 
 
 def test_add_hook_supports_multiple_observers():
@@ -145,36 +141,33 @@ def test_remove_hook_detaches_only_that_handle():
     assert removed == [1]
 
 
-def test_set_hook_replaces_added_hooks():
-    loop = EventLoop()
-    old, new = [], []
-    loop.add_hook(lambda lp, event, wall: old.append(1))
-    loop.set_hook(lambda lp, event, wall: new.append(1))
-    loop.call_after(1.0, lambda: None)
-    loop.run()
-    assert old == []
-    assert new == [1]
-
-
 def test_add_hook_rejects_bad_interval():
     with pytest.raises(ValueError):
         EventLoop().add_hook(lambda lp, e, w: None, sample_every=0)
 
 
+def test_set_hook_rejects_bad_interval():
+    # a rejected interval installs nothing: the loop stays on the fast path
+    loop = EventLoop()
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            loop.add_hook(lambda lp, e, w: None, sample_every=bad)
+    assert not loop._hooks
+
+
 def test_attach_loop_metrics_records_samples():
-    from repro.obs.histogram import MetricsRegistry
-    from repro.obs.hooks import attach_loop_metrics, detach_loop_metrics
+    from repro.obs.metrics import MetricsRegistry, attach_loop_metrics
 
     loop = EventLoop()
     registry = MetricsRegistry()
-    attach_loop_metrics(loop, registry, sample_every=2)
+    handle = attach_loop_metrics(loop, registry, sample_every=2)
     for i in range(6):
         loop.call_after(float(i), lambda: None)
     loop.run()
     assert registry.counter("sim.events_sampled") == 3
     assert registry.histogram("sim.callback_ms").count == 3
     assert len(registry.series("sim.queue_depth")) == 3
-    detach_loop_metrics(loop)
+    loop.remove_hook(handle)
     loop.call_after(10.0, lambda: None)
     loop.run()
     assert registry.counter("sim.events_sampled") == 3

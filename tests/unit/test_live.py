@@ -33,14 +33,6 @@ def test_store_rejects_bad_capacity():
         TimeSeriesStore(capacity=0)
 
 
-def test_store_series_extraction_skips_missing_columns():
-    store = TimeSeriesStore()
-    store.append({"time": 1.0, "a": 5.0})
-    store.append({"time": 2.0})
-    store.append({"time": 3.0, "a": 7.0})
-    assert store.series("a") == [(1.0, 5.0), (3.0, 7.0)]
-
-
 def test_store_export_excludes_wall_columns_by_default():
     store = TimeSeriesStore(meta={"seed": 1})
     store.append({"time": 1.0, "x": 2.0, "wall_ms_per_sim_s": 3.25})
@@ -181,6 +173,34 @@ def test_profiler_attributes_events_to_subsystems():
     assert "agent" in report["subsystems"]
     shares = [s["wall_share"] for s in report["subsystems"].values()]
     assert all(0.0 <= share <= 1.0 for share in shares)
+
+
+def test_profiler_books_deliveries_to_the_receiving_actor():
+    from repro.api import ClusterBuilder
+    cluster = ClusterBuilder(racks=2, machines_per_rack=3).build(warm_up=False)
+    profiler = SubsystemProfiler().attach(cluster.loop, sample_every=1)
+    delivered = {"master": 0}
+    for master in cluster.masters:
+        def counting(sender, message, _deliver=master.deliver):
+            delivered["master"] += 1
+            _deliver(sender, message)
+        master.deliver = counting
+    cluster.enable_utilization_sampling(interval=1.0)
+    cluster.warm_up()
+    cluster.run_for(10.0)
+    # the agents heartbeat to the "fuxi-master" alias: each delivery is
+    # booked to the master it resolves to, none to the transport
+    assert delivered["master"] > 0
+    assert profiler.events["master"] >= delivered["master"]
+    assert "network" not in profiler.events
+    assert profiler.events["runtime"] > 0   # the utilization sampler
+    # with the primary dead, deliveries to it are drops: only those are
+    # booked to the transport
+    dropped = cluster.bus.messages_dropped
+    cluster.crash_primary_master()
+    cluster.run_for(5.0)
+    assert cluster.bus.messages_dropped > dropped
+    assert profiler.events["network"] == cluster.bus.messages_dropped - dropped
 
 
 def test_profiler_detach_stops_attribution():
